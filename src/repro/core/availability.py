@@ -11,49 +11,50 @@ Resolution of a name succeeds when, for *every* zone on its delegation path,
 at least one of the zone's nameservers is reachable — where "reachable"
 itself requires the server to be up and its hostname to be resolvable
 (recursively).  Over the delegation graph this is the same AND/OR structure
-as the bottleneck analysis, evaluated with probabilities instead of attack
-costs::
+as the bottleneck analysis.  A dependency loop (mutual secondaries, an
+in-bailiwick server) resolves unless something outside it fails — glue
+records make it so — which is the *greatest* fixpoint of that structure.
 
-    avail(name)  = product over zones Z on the chain of avail_zone(Z)
-    avail_zone(Z) = 1 - product over nameservers H of (1 - up(H) * avail(H))
-
-Cycles (mutual secondaries) are broken the same way as in the bottleneck
-analysis: a dependency loop cannot make a server *more* reachable, so the
-looping branch contributes only the server's own up-probability.
-
-The analyzer accepts any :class:`~repro.core.delegation.DelegationView` —
-a materialised per-name :class:`~repro.core.delegation.DelegationGraph` or
-the survey engine's zero-copy :class:`~repro.core.delegation.TCBView` — and
-supports *shared memos* across names, with the same clean/tainted publishing
-discipline as :class:`~repro.core.mincut.BottleneckAnalyzer`: only values
-computed without truncating a dependency cycle (and without consuming a
-truncation-tainted value) are published cross-name, because those are the
-only values independent of the path the recursion took to reach the node.
-
-Like the bottleneck analyzer, every evaluation mode has two structurally
-identical implementations: an **integer path** over dense node ids and NS
-slots (taken automatically for :class:`~repro.core.delegation.TCBView`) and
-a **generic path** over ``(kind, DomainName)`` node keys.  Both traverse
-successors in the same order with the same arithmetic, so they agree
-bit-for-bit; the equivalence suite asserts it.
-
-Three evaluation modes are provided:
+The analyzer runs on the integer core of any
+:class:`~repro.core.delegation.DelegationView`
+(:meth:`~repro.core.delegation.DelegationView.int_core`): the survey
+engine's zero-copy :class:`~repro.core.delegation.TCBView` or a
+materialised :class:`~repro.core.delegation.DelegationGraph`, which builds a
+private universe on first use.  Four evaluation modes are provided:
 
 * :meth:`AvailabilityAnalyzer.resolution_probability` — analytic evaluation
-  of the recursion under independent per-server failure probabilities
-  (an approximation: shared dependencies are treated as independent).
-* :meth:`AvailabilityAnalyzer.monte_carlo` — simulate failure draws and
-  evaluate the same structure exactly per draw; used to sanity-check the
-  analytic value and to study correlated (regional) failures.  On the
-  integer path the sweep is *bit-parallel*: every server gets one up/down
-  bitmask over all samples (one RNG draw array per sample, in the same
-  draw order as the scalar loop), and a single AND/OR traversal of the
-  graph evaluates every sample at once against the name's TCB masks.
+  under independent per-server failure probabilities::
+
+      avail(name)  = product over zones Z on the chain of avail_zone(Z)
+      avail_zone(Z) = 1 - product over nameservers H of (1 - up(H) * avail(H))
+
+  with a looping branch contributing only the server's own up-probability.
+  It is an approximation in both directions: shared dependencies are
+  multiplied as if independent, and loops are cut wherever the recursion
+  happens to enter them.  Against exact enumeration of every failure state on
+  3,000 random tiny topologies (``tests/test_core_oracles.py``) it was
+  above the exact value in 9 worlds (by up to 0.094) and below it in 344
+  (by up to 0.671).
+* :meth:`AvailabilityAnalyzer.resolvable_with_failures` — exact: does the
+  name resolve with a given set of servers down?
+* :meth:`AvailabilityAnalyzer.monte_carlo` — sample failure draws and score
+  each one exactly.  The sweep is *bit-parallel*: every server gets one
+  up/down bitmask over all samples and one evaluation scores them all.
 * :meth:`AvailabilityAnalyzer.single_points_of_failure` — the servers whose
-  individual loss makes the name unresolvable, computed by a kill-set
-  recursion over the same AND/OR structure (a server kills a zone iff it
-  kills every nameserver of that zone) instead of one full re-evaluation
-  per TCB member.  Kill sets are NS-slot bitsets on the integer path.
+  individual loss makes the name unresolvable, scored in one bit-parallel
+  evaluation whose scenario *s* fails NS slot *s* alone.
+
+The exact modes share :meth:`AvailabilityAnalyzer._alive`, which settles
+each strongly connected component of the dependency graph to its greatest
+fixpoint, so its values do not depend on the path that reached a node.
+
+Both the analytic and the single-failure values can be shared across names
+(*shared memos*).  Single-failure masks are exact and always publishable;
+analytic values follow the clean/tainted discipline of
+:class:`~repro.core.mincut.BottleneckAnalyzer`: only values computed without
+truncating a dependency cycle (and without consuming a truncation-tainted
+value) are published, because those are the only values independent of the
+path the recursion took to reach the node.
 """
 
 from __future__ import annotations
@@ -61,17 +62,19 @@ from __future__ import annotations
 import dataclasses
 import random
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
+    Iterator,
+    List,
     Mapping,
     Optional,
     Set,
+    Tuple,
     Union,
 )
 
 from repro.dns.name import DomainName
-from repro.core.delegation import DelegationView, NodeKey, TCBView, name_node
+from repro.core.delegation import DelegationView
 from repro.core.graphcore import NS_CODE
 
 #: A per-server up-probability map or a single probability applied to all.
@@ -107,16 +110,20 @@ class AvailabilityAnalyzer:
         Up-probability for servers not listed in the mapping.
     shared_memo:
         Optional cross-name memo for analytic availabilities, keyed by
-        integer node id on the fast path (NodeKey on the generic path).
-        Only cycle-independent ("clean") values are published.  The survey
-        engine registers it with the builder's
+        integer node id.  Only cycle-independent ("clean") values are
+        published.  The survey engine registers it with the builder's
         :class:`~repro.core.delegation.ClosureIndex` so universe growth
         purges exactly the entries whose subtree changed.  Valid only while
-        the analyzer's up-model is unchanged.  Providing it also enables a
-        companion reachability memo (``shared_reach_memo``) used by the
-        SPOF analysis, under the same invalidation contract.
+        the analyzer's up-model is unchanged.
     shared_spof_memo:
-        Optional cross-name memo for kill sets, same discipline.
+        Optional cross-name memo for the exact single-failure masks behind
+        :meth:`single_points_of_failure` and the all-up
+        :meth:`resolvable_with_failures`, keyed by node id, same
+        invalidation contract.
+
+    Node ids are local to one universe, so both shared memos are cleared in
+    place whenever the analyzer is handed a view over a different universe
+    (every :class:`~repro.core.delegation.DelegationGraph` has its own).
     """
 
     def __init__(self, up_probability: UpModel = 0.99,
@@ -140,30 +147,37 @@ class AvailabilityAnalyzer:
         #: lets the hot loops skip the per-slot lookup entirely.
         self._up_const: Optional[float] = \
             self.default_up if not self._per_server else None
-        #: Cross-name memo for "resolvable with every server up" booleans
-        #: (integer path only); enabled alongside the other shared memos.
-        self.shared_reach_memo: Optional[Dict[int, bool]] = \
-            {} if shared_memo is not None or shared_spof_memo is not None \
-            else None
         self._slot_up: Dict[int, float] = {}
-        self._slot_up_universe: Optional[object] = None
+        self._universe: Optional[object] = None
         self._taint_events = 0
         self._tainted: Set = set()
         self._prefix_state: Optional[tuple] = None
         # Per-recursion zone-term replay state, active only while a
-        # prefix-resumed evaluation runs (see _prefix_cache): `*_zc` maps a
-        # zone id to its (term, taint-event delta) when the term was
+        # prefix-resumed evaluation runs (see _prefix_cache): `_avail_zc`
+        # maps a zone id to its (term, taint-event delta) when the term was
         # computed purely from snapshot-resident memo hits — such terms are
-        # identical for every chain sharing the snapshot — and `*_base` is
-        # the snapshot memo used for that purity test.
+        # identical for every chain sharing the snapshot — and
+        # `_avail_base` is the snapshot memo used for that purity test.
         self._avail_zc: Optional[Dict[int, tuple]] = None
         self._avail_base: Optional[Dict[int, float]] = None
-        self._reach_zc: Optional[Dict[int, tuple]] = None
-        self._reach_base: Optional[Dict[int, bool]] = None
-        self._struct_zc: Optional[Dict[int, tuple]] = None
-        self._struct_base: Optional[Dict[int, int]] = None
 
-    def _prefix_cache(self, universe, closures, kind: str) -> Dict[int, tuple]:
+    def _core(self, graph: DelegationView):
+        """``graph.int_core()``, resetting universe-local state on a switch.
+
+        Slots and node ids are universe-local: the slot up-probability
+        cache and the shared memos are cleared in place (keeping any
+        closure-index companion registrations) when the universe changes.
+        """
+        core = graph.int_core()
+        if self._universe is not core[0]:
+            self._universe = core[0]
+            self._slot_up = {}
+            for memo in (self.shared_memo, self.shared_spof_memo):
+                if memo is not None:
+                    memo.clear()
+        return core
+
+    def _prefix_cache(self, universe, closures) -> Dict[int, tuple]:
         """Per-first-zone resume snapshots, valid for one closure version.
 
         A surveyed name's node has no in-edges, so evaluating its first
@@ -172,16 +186,14 @@ class AvailabilityAnalyzer:
         state after the first zone and resuming later chains from a copy
         removes the dominant per-chain cost (re-walking the TLD subtree,
         which in-bailiwick NS cycles keep out of the clean-only shared
-        memos) without changing a single arithmetic step of the recursion.
-        ``kind`` separates the analytic, structural-reachability, and
-        kill-set evaluations.
+        memo) without changing a single arithmetic step of the recursion.
         """
         state = self._prefix_state
         if state is None or state[0] is not universe \
                 or state[1] != closures.version:
             state = (universe, closures.version, {})
             self._prefix_state = state
-        return state[2].setdefault(kind, {})
+        return state[2]
 
     # -- probability model ---------------------------------------------------------
 
@@ -190,14 +202,7 @@ class AvailabilityAnalyzer:
         return self._per_server.get(hostname, self.default_up)
 
     def _up_slot(self, universe, slot: int) -> float:
-        """Slot-indexed up-probability (the up-model is fixed per analyzer).
-
-        Slots are universe-local, so the cache resets when this analyzer is
-        pointed at a different builder's universe.
-        """
-        if self._slot_up_universe is not universe:
-            self._slot_up = {}
-            self._slot_up_universe = universe
+        """Slot-indexed up-probability (the up-model is fixed per analyzer)."""
         cache = self._slot_up
         probability = cache.get(slot)
         if probability is None:
@@ -206,104 +211,88 @@ class AvailabilityAnalyzer:
             cache[slot] = probability
         return probability
 
-    @staticmethod
-    def _int_core(graph):
-        if isinstance(graph, TCBView):
-            return graph.int_core()
-        return None
-
     # -- analytic evaluation -----------------------------------------------------------
 
     def resolution_probability(self, graph: DelegationView) -> float:
-        """Probability that the view's target name resolves.
+        """Probability that the view's target name resolves (analytic).
 
-        Shared dependencies are treated as independent, so the value is an
-        approximation (generally a slight underestimate for names whose
-        zones share servers); :meth:`monte_carlo` evaluates the structure
-        without that assumption.
+        Shared dependencies are treated as independent and loops are
+        truncated, so the value is an approximation that can land on
+        either side of the exact probability (see the module docstring for
+        measured error); :meth:`monte_carlo` samples the exact structure.
         """
-        core = self._int_core(graph)
-        if core is not None:
-            universe, closures, target_id = core
-            zones = closures.split_ids(target_id)[0]
-            if not zones:
-                # Nothing is known about the name's delegation chain at all.
-                return 0.0
-            self._taint_events = 0
-            self._tainted = set()
-            shared = self.shared_memo
-            if shared is not None:
-                hit = shared.get(target_id)
-                if hit is not None:
-                    return hit
-            split_ids = closures.split_ids
-            ns_slots = universe.ns_slots
-            prefix = self._prefix_cache(universe, closures, "avail")
-            first = zones[0]
-            entry = prefix.get(first)
-            in_progress = frozenset((target_id,))
-            memo: Dict[int, float] = {}
-            probability = 1.0
-            start = 0
-            self._avail_zc = self._avail_base = None
-            if entry is not None:
-                probability, snap_memo, snap_tainted, snap_events, broke, \
-                    zone_cache = entry
-                memo = dict(snap_memo)
-                self._tainted = set(snap_tainted)
-                self._taint_events = snap_events
-                self._avail_zc = zone_cache
-                self._avail_base = snap_memo
-                start = len(zones) if broke else 1
-            up_const = self._up_const
-            for index in range(start, len(zones)):
-                zone = zones[index]
-                nameservers = split_ids(zone)[1]
-                if not nameservers:
-                    probability = 0.0
-                    if index == 0:
-                        prefix[first] = (probability, dict(memo),
-                                         set(self._tainted),
-                                         self._taint_events, True, {})
-                    break
-                all_down = 1.0
-                memo_get = memo.get
-                tainted = self._tainted
-                for ns in nameservers:
-                    value = memo_get(ns)
-                    if value is None:
-                        value = self._avail_int(universe, closures, ns, memo,
-                                                in_progress, shared)
-                    elif ns in tainted:
-                        self._taint_events += 1
-                    up = up_const if up_const is not None else \
-                        self._up_slot(universe, ns_slots[ns])
-                    all_down *= (1.0 - up * value)
-                probability *= (1.0 - all_down)
-                if index == 0:
-                    prefix[first] = (probability, dict(memo),
-                                     set(self._tainted), self._taint_events,
-                                     False, {})
-            memo[target_id] = probability
-            if self._taint_events == 0:
-                if shared is not None:
-                    shared[target_id] = probability
-            else:
-                self._tainted.add(target_id)
-            return probability
-        target = name_node(graph.target)
-        if not graph.zones_of(target):
+        universe, closures, target_id = self._core(graph)
+        zones = closures.split_ids(target_id)[0]
+        if not zones:
+            # Nothing is known about the name's delegation chain at all.
             return 0.0
         self._taint_events = 0
         self._tainted = set()
-        return self._avail_name(graph, target, {}, frozenset(),
-                                lambda hostname: self.up_probability(hostname),
-                                self.shared_memo)
+        shared = self.shared_memo
+        if shared is not None:
+            hit = shared.get(target_id)
+            if hit is not None:
+                return hit
+        split_ids = closures.split_ids
+        ns_slots = universe.ns_slots
+        prefix = self._prefix_cache(universe, closures)
+        first = zones[0]
+        entry = prefix.get(first)
+        in_progress = frozenset((target_id,))
+        memo: Dict[int, float] = {}
+        probability = 1.0
+        start = 0
+        self._avail_zc = self._avail_base = None
+        if entry is not None:
+            probability, snap_memo, snap_tainted, snap_events, broke, \
+                zone_cache = entry
+            memo = dict(snap_memo)
+            self._tainted = set(snap_tainted)
+            self._taint_events = snap_events
+            self._avail_zc = zone_cache
+            self._avail_base = snap_memo
+            start = len(zones) if broke else 1
+        up_const = self._up_const
+        for index in range(start, len(zones)):
+            zone = zones[index]
+            nameservers = split_ids(zone)[1]
+            if not nameservers:
+                probability = 0.0
+                if index == 0:
+                    prefix[first] = (probability, dict(memo),
+                                     set(self._tainted),
+                                     self._taint_events, True, {})
+                break
+            all_down = 1.0
+            memo_get = memo.get
+            tainted = self._tainted
+            for ns in nameservers:
+                value = memo_get(ns)
+                if value is None:
+                    value = self._avail_int(universe, closures, ns, memo,
+                                            in_progress, shared)
+                elif ns in tainted:
+                    self._taint_events += 1
+                up = up_const if up_const is not None else \
+                    self._up_slot(universe, ns_slots[ns])
+                all_down *= (1.0 - up * value)
+            probability *= (1.0 - all_down)
+            if index == 0:
+                prefix[first] = (probability, dict(memo),
+                                 set(self._tainted), self._taint_events,
+                                 False, {})
+        memo[target_id] = probability
+        if self._taint_events == 0:
+            if shared is not None:
+                shared[target_id] = probability
+        else:
+            self._tainted.add(target_id)
+        return probability
 
     def _avail_int(self, universe, closures, node: int,
                    memo: Dict[int, float], in_progress: FrozenSet[int],
                    shared: Optional[Dict[int, float]]) -> float:
-        """Integer-path analytic availability (same traversal, same floats)."""
+        """Analytic availability of one name/host node (memoised recursion)."""
         cached = memo.get(node)
         if cached is not None:
             if node in self._tainted:
@@ -379,91 +368,27 @@ class AvailabilityAnalyzer:
             self._tainted.add(node)
         return probability
 
-    def _avail_name(self, graph: DelegationView, node: NodeKey,
-                    memo: Dict[NodeKey, float],
-                    in_progress: FrozenSet[NodeKey],
-                    up: Callable[[DomainName], float],
-                    shared: Optional[Dict[NodeKey, float]] = None) -> float:
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                # The consumer inherits this value's context-dependence.
-                self._taint_events += 1
-            return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # A dependency loop cannot improve reachability.
-            self._taint_events += 1
-            return 1.0
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        zones = graph.zones_of(node)
-        if not zones:
-            # No recorded chain (e.g. glued hostname inside an already
-            # covered zone): treat as reachable so the parent term reduces
-            # to the server's own up-probability.
-            memo[node] = 1.0
-            if shared is not None:
-                shared[node] = 1.0
-            return 1.0
-        probability = 1.0
-        for zone in zones:
-            nameservers = graph.nameservers_of_zone(zone)
-            if not nameservers:
-                probability = 0.0
-                break
-            all_down = 1.0
-            for ns in nameservers:
-                hostname = ns[1]
-                reachable = up(hostname) * self._avail_name(
-                    graph, ns, memo, in_progress, up, shared)
-                all_down *= (1.0 - reachable)
-            probability *= (1.0 - all_down)
-        memo[node] = probability
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = probability
-        else:
-            self._tainted.add(node)
-        return probability
-
-    # -- Monte Carlo evaluation ------------------------------------------------------------
+    # -- exact evaluation ----------------------------------------------------------------
 
     def monte_carlo(self, graph: DelegationView, samples: int = 500,
                     rng: Optional[random.Random] = None) -> float:
         """Estimate availability by sampling failure scenarios.
 
-        The draw order is fixed (per sample, hosts in sorted order), so a
-        given seed yields the same estimate on both implementations.
+        The draw order is fixed: per sample, one ``rng.random()`` per TCB
+        host in sorted order, the host being down when the draw is at least
+        its up-probability.  Bit *s* of each server's up-mask is sample
+        *s*'s draw, and one exact evaluation of the masks scores every
+        sample at once, so sample *s* succeeds exactly when
+        :meth:`resolvable_with_failures` does for its down set.
         """
         if samples <= 0:
             raise ValueError("samples must be positive")
         rng = rng or random.Random(0)
-        core = self._int_core(graph)
-        if core is not None:
-            return self._monte_carlo_int(graph, core, samples, rng)
-        hosts = sorted(graph.tcb())
-        successes = 0
-        for _ in range(samples):
-            down = {host for host in hosts
-                    if rng.random() >= self.up_probability(host)}
-            if self.resolvable_with_failures(graph, down):
-                successes += 1
-        return successes / samples
-
-    def _monte_carlo_int(self, graph: TCBView, core, samples: int,
-                         rng: random.Random) -> float:
-        """Bit-parallel sweep: one up-mask per server, all samples at once."""
-        universe, closures, target_id = core
+        universe, closures, target_id = self._core(graph)
         hosts = sorted(graph.tcb())
         probabilities = [self.up_probability(host) for host in hosts]
         down_masks = [0] * len(hosts)
         rand = rng.random
-        # Same RNG consumption order as the scalar loop: per sample, hosts
-        # in sorted order — bit s of a server's mask is sample s's draw.
         for sample in range(samples):
             bit = 1 << sample
             for index, probability in enumerate(probabilities):
@@ -479,148 +404,24 @@ class AvailabilityAnalyzer:
         if not closures.split_ids(target_id)[0]:
             # No known delegation chain: the name resolves in no sample.
             return 0.0
-        # Zone-term replay is only sound for the all-up evaluation.
-        self._struct_zc = self._struct_base = None
-        value = self._sample_masks(universe, closures, target_id, {},
-                                   frozenset(), up_by_slot, full)
+        value = self._alive(closures, target_id, {}, up_by_slot, full)
         return value.bit_count() / samples
-
-    def _sample_masks(self, universe, closures, node: int,
-                      memo: Dict[int, int], in_progress: FrozenSet[int],
-                      up_by_slot: Dict[int, int], full: int) -> int:
-        """Bitmask over samples in which ``node`` resolves.
-
-        Structurally identical to the scalar availability recursion with
-        0/1 up-probabilities, evaluated for every sample bit at once: OR
-        across a zone's nameservers, AND across a node's zones, dependency
-        loops truncated as "reachable" — so bit *s* equals what
-        :meth:`resolvable_with_failures` returns for sample *s*'s down set.
-        """
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if node in in_progress:
-            return full
-        in_progress = in_progress | {node}
-        split_ids = closures.split_ids
-        zones = split_ids(node)[0]
-        if not zones:
-            memo[node] = full
-            return full
-        ns_slots = universe.ns_slots
-        memo_get = memo.get
-        up_get = up_by_slot.get
-        zone_cache = self._struct_zc
-        base = self._struct_base
-        result = full
-        for zone in zones:
-            if zone_cache is not None:
-                replay = zone_cache.get(zone)
-                if replay is not None:
-                    result &= replay
-                    continue
-            nameservers = split_ids(zone)[1]
-            if not nameservers:
-                result = 0
-                break
-            zone_up = 0
-            pure = zone_cache is not None
-            for ns in nameservers:
-                value = memo_get(ns)
-                if value is None:
-                    value = self._sample_masks(universe, closures, ns, memo,
-                                               in_progress, up_by_slot, full)
-                    pure = False
-                elif pure and ns not in base:
-                    pure = False
-                up_mask = up_get(ns_slots[ns], full)
-                zone_up |= up_mask & value
-            if pure:
-                zone_cache[zone] = zone_up
-            result &= zone_up
-        memo[node] = result
-        return result
 
     def resolvable_with_failures(self, graph: DelegationView,
                                  failed: Set[DomainName]) -> bool:
         """Exact check: does the name resolve when ``failed`` servers are down?"""
-        core = self._int_core(graph)
-        if core is not None:
-            universe, closures, target_id = core
-            zones = closures.split_ids(target_id)[0]
-            if not zones:
-                return False
-            if not failed:
-                return self._resolvable_structurally(universe, closures,
-                                                     target_id, zones)
-            full = 1
-            up_by_slot: Dict[int, int] = {}
-            ns_slots = universe.ns_slots
-            for host in failed:
-                node_id = universe.find_id(NS_CODE, host)
-                if node_id is not None:
-                    up_by_slot[ns_slots[node_id]] = 0
-            # Zone-term replay is only sound for the all-up evaluation.
-            self._struct_zc = self._struct_base = None
-            value = self._sample_masks(universe, closures, target_id, {},
-                                       frozenset(), up_by_slot, full)
-            return bool(value)
-        target = name_node(graph.target)
-        if not graph.zones_of(target):
+        universe, closures, target_id = self._core(graph)
+        if not closures.split_ids(target_id)[0]:
             return False
-        up = (lambda hostname: 0.0 if hostname in failed else 1.0)
-        self._taint_events = 0
-        self._tainted = set()
-        probability = self._avail_name(graph, target, {}, frozenset(), up)
-        return probability > 0.5
-
-    def _resolvable_structurally(self, universe, closures, target_id: int,
-                                 zones) -> bool:
-        """``resolvable_with_failures(graph, set())`` with prefix resume.
-
-        With no failed servers every up-mask defaults to "up", so the
-        evaluation is a pure function of the structure — and, like every
-        top-level walk, its first-zone state is name-independent and can be
-        snapshotted (the single-bit evaluation carries no taint state).
-        """
-        prefix = self._prefix_cache(universe, closures, "structure")
-        first = zones[0]
-        entry = prefix.get(first)
-        in_progress = frozenset((target_id,))
-        memo: Dict[int, int] = {}
+        if not failed:
+            return self._single_failures(closures, target_id) < 0
         up_by_slot: Dict[int, int] = {}
-        result = 1
-        start = 0
-        self._struct_zc = self._struct_base = None
-        if entry is not None:
-            result, snap_memo, zone_cache = entry
-            memo = dict(snap_memo)
-            self._struct_zc = zone_cache
-            self._struct_base = snap_memo
-            start = 1
-        split_ids = closures.split_ids
-        for index in range(start, len(zones)):
-            zone = zones[index]
-            nameservers = split_ids(zone)[1]
-            if not nameservers:
-                result = 0
-                if index == 0:
-                    prefix[first] = (result, dict(memo), {})
-                break
-            zone_up = 0
-            memo_get = memo.get
-            for ns in nameservers:
-                value = memo_get(ns)
-                if value is None:
-                    value = self._sample_masks(universe, closures, ns, memo,
-                                               in_progress, up_by_slot, 1)
-                zone_up |= value
-            result &= zone_up
-            if index == 0:
-                prefix[first] = (result, dict(memo), {})
-        return bool(result)
-
-    # -- single points of failure ------------------------------------------------------------
+        ns_slots = universe.ns_slots
+        for host in failed:
+            node_id = universe.find_id(NS_CODE, host)
+            if node_id is not None:
+                up_by_slot[ns_slots[node_id]] = 0
+        return self._alive(closures, target_id, {}, up_by_slot, 1) != 0
 
     def single_points_of_failure(self, graph: DelegationView
                                  ) -> FrozenSet[DomainName]:
@@ -628,309 +429,130 @@ class AvailabilityAnalyzer:
 
         These are exactly the size-one bottlenecks of the availability
         structure: names served by a single machine anywhere on their chain.
-        Computed by a kill-set recursion mirroring the availability AND/OR
-        structure — a server kills a zone iff it kills every nameserver of
-        that zone (by being it, or by killing its hostname's resolution) —
-        so the cost is one graph walk instead of one per TCB member.
+        One exact evaluation scores every single-server failure at once
+        (see :meth:`_alive`), instead of one evaluation per TCB member.
         """
-        core = self._int_core(graph)
-        if core is not None:
-            universe, closures, target_id = core
-            if not self.resolvable_with_failures(graph, set()):
-                # The name does not resolve even with every server up: any
-                # single failure "also" leaves it unresolvable.
-                return graph.tcb_frozen()
-            mask = self._kill_top_int(universe, closures, target_id)
-            if not mask:
-                return frozenset()
-            return frozenset(universe.mask_to_hosts(mask))
-        if not self.resolvable_with_failures(graph, set()):
-            return frozenset(graph.tcb())
-        self._taint_events = 0
-        self._tainted = set()
-        return self._kill_name(graph, name_node(graph.target), {}, {},
-                               frozenset(), self.shared_spof_memo)
-
-    def _kill_top_int(self, universe, closures, target_id: int) -> int:
-        """Top-level kill-set evaluation with per-first-zone prefix resume.
-
-        Mirrors :meth:`_kill_int` applied to the target node; the snapshot
-        captures both the kill memo and the reachability memo (the two
-        walks interleave) plus the shared taint state after the first zone.
-        """
-        self._taint_events = 0
-        self._tainted = set()
-        shared = self.shared_spof_memo
-        if shared is not None:
-            hit = shared.get(target_id)
-            if hit is not None:
-                return hit
-        split_ids = closures.split_ids
-        zones = split_ids(target_id)[0]
-        memo: Dict[int, int] = {}
-        reach_memo: Dict[int, bool] = {}
-        if not zones:
-            memo[target_id] = 0
-            if shared is not None:
-                shared[target_id] = 0
-            return 0
-        prefix = self._prefix_cache(universe, closures, "kill")
-        first = zones[0]
-        entry = prefix.get(first)
-        in_progress = frozenset((target_id,))
-        kills = 0
-        start = 0
-        self._reach_zc = self._reach_base = None
-        if entry is not None:
-            kills, snap_memo, snap_reach, snap_tainted, snap_events, \
-                reach_zc = entry
-            memo = dict(snap_memo)
-            reach_memo = dict(snap_reach)
-            self._tainted = set(snap_tainted)
-            self._taint_events = snap_events
-            self._reach_zc = reach_zc
-            self._reach_base = snap_reach
-            start = 1
-        for index in range(start, len(zones)):
-            zone_kill = self._kill_zone_int(universe, closures, zones[index],
-                                            memo, reach_memo, in_progress,
-                                            shared)
-            if zone_kill:
-                kills |= zone_kill
-            if index == 0:
-                prefix[first] = (kills, dict(memo), dict(reach_memo),
-                                 set(self._tainted), self._taint_events, {})
-        memo[target_id] = kills
-        if self._taint_events == 0:
-            if shared is not None:
-                shared[target_id] = kills
-        else:
-            self._tainted.add(target_id)
-        return kills
-
-    def _kill_int(self, universe, closures, node: int,
-                  memo: Dict[int, int], reach_memo: Dict[int, bool],
-                  in_progress: FrozenSet[int],
-                  shared: Optional[Dict[int, int]]) -> int:
-        """Slot bitset of hostnames whose failure makes ``node`` unresolvable."""
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                self._taint_events += 1
-            return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # The looping branch is treated as reachable by the availability
-            # recursion, so nothing kills it from inside the loop.
-            self._taint_events += 1
-            return 0
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        split_ids = closures.split_ids
-        zones = split_ids(node)[0]
-        if not zones:
-            memo[node] = 0
-            if shared is not None:
-                shared[node] = 0
-            return 0
-        kills = 0
-        for zone in zones:
-            zone_kill = self._kill_zone_int(universe, closures, zone, memo,
-                                            reach_memo, in_progress, shared)
-            if zone_kill:
-                kills |= zone_kill
-        memo[node] = kills
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = kills
-        else:
-            self._tainted.add(node)
-        return kills
-
-    def _kill_zone_int(self, universe, closures, zone: int,
-                       memo: Dict[int, int], reach_memo: Dict[int, bool],
-                       in_progress: FrozenSet[int],
-                       shared: Optional[Dict[int, int]]) -> Optional[int]:
-        """One zone's kill intersection (shared by top-level and recursion)."""
-        nameservers = closures.split_ids(zone)[1]
-        zone_kill: Optional[int] = None
-        reach_get = reach_memo.get
-        memo_get = memo.get
-        tainted = self._tainted
-        ns_slots = universe.ns_slots
-        for ns in nameservers:
-            # A nameserver that cannot resolve even with every server up
-            # (its own chain crosses a dead zone) is no alternative: it
-            # imposes no constraint on the zone's kill intersection.
-            reach = reach_get(ns)
-            if reach is None:
-                reach = self._reach_int(universe, closures, ns, reach_memo,
-                                        in_progress)
-            elif ns in tainted:
-                self._taint_events += 1
-            if not reach:
-                continue
-            term = memo_get(ns)
-            if term is None:
-                term = self._kill_int(universe, closures, ns, memo,
-                                      reach_memo, in_progress, shared)
-            elif ns in tainted:
-                self._taint_events += 1
-            term |= 1 << ns_slots[ns]
-            zone_kill = term if zone_kill is None else (zone_kill & term)
-            if not zone_kill:
-                break
-        return zone_kill
-
-    def _reach_int(self, universe, closures, node: int,
-                   memo: Dict[int, bool],
-                   in_progress: FrozenSet[int]) -> bool:
-        """Is ``node`` resolvable with every server up? (taint-tracked).
-
-        Mirrors the scalar all-up availability evaluation (values are
-        exactly 0.0 or 1.0 there); clean results are additionally published
-        to :attr:`shared_reach_memo` so the SPOF pass explores each
-        universe region once per worker instead of once per name.
-        """
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                self._taint_events += 1
-            return cached
-        shared = self.shared_reach_memo
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # A dependency loop cannot improve reachability.
-            self._taint_events += 1
-            return True
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        split_ids = closures.split_ids
-        zones = split_ids(node)[0]
-        if not zones:
-            memo[node] = True
-            if shared is not None:
-                shared[node] = True
-            return True
-        reachable = True
-        memo_get = memo.get
-        tainted = self._tainted
-        zone_cache = self._reach_zc
-        base = self._reach_base
-        for zone in zones:
-            if zone_cache is not None:
-                replay = zone_cache.get(zone)
-                if replay is not None:
-                    any_up, delta = replay
-                    if delta:
-                        self._taint_events += delta
-                    if not any_up:
-                        reachable = False
-                    continue
-            nameservers = split_ids(zone)[1]
-            if not nameservers:
-                reachable = False
-                break
-            any_up = False
-            pure = zone_cache is not None
-            events_zone = self._taint_events
-            for ns in nameservers:
-                value = memo_get(ns)
-                if value is None:
-                    value = self._reach_int(universe, closures, ns, memo,
-                                            in_progress)
-                    pure = False
-                else:
-                    if ns in tainted:
-                        self._taint_events += 1
-                    if pure and ns not in base:
-                        pure = False
-                if value:
-                    any_up = True
-            if pure:
-                zone_cache[zone] = (any_up, self._taint_events - events_zone)
-            if not any_up:
-                reachable = False
-        memo[node] = reachable
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = reachable
-        else:
-            self._tainted.add(node)
-        return reachable
-
-    def _kill_name(self, graph: DelegationView, node: NodeKey,
-                   memo: Dict[NodeKey, FrozenSet[DomainName]],
-                   reach_memo: Dict[NodeKey, float],
-                   in_progress: FrozenSet[NodeKey],
-                   shared: Optional[Dict[NodeKey, FrozenSet[DomainName]]]
-                   ) -> FrozenSet[DomainName]:
-        """Hostnames whose individual failure makes ``node`` unresolvable."""
-        cached = memo.get(node)
-        if cached is not None:
-            if node in self._tainted:
-                self._taint_events += 1
-            return cached
-        if shared is not None:
-            hit = shared.get(node)
-            if hit is not None:
-                return hit
-        if node in in_progress:
-            # The looping branch is treated as reachable by the availability
-            # recursion, so nothing kills it from inside the loop.
-            self._taint_events += 1
+        universe, closures, target_id = self._core(graph)
+        alive = 0
+        if closures.split_ids(target_id)[0]:
+            alive = self._single_failures(closures, target_id)
+        if alive >= 0:
+            # The name does not resolve even with every server up: any
+            # single failure "also" leaves it unresolvable.
+            return graph.tcb_frozen()
+        kills = ~alive & closures.closure_mask_id(target_id)
+        if not kills:
             return frozenset()
-        in_progress = in_progress | {node}
-        events_before = self._taint_events
-        zones = graph.zones_of(node)
-        if not zones:
-            memo[node] = frozenset()
-            if shared is not None:
-                shared[node] = frozenset()
-            return frozenset()
-        kills: Set[DomainName] = set()
-        all_up = (lambda _hostname: 1.0)
-        for zone in zones:
-            nameservers = graph.nameservers_of_zone(zone)
-            zone_kill: Optional[FrozenSet[DomainName]] = None
-            for ns in nameservers:
-                # A nameserver that cannot resolve even with every server up
-                # (its own chain crosses a dead zone) is no alternative: it
-                # imposes no constraint on the zone's kill intersection.
-                reachable = self._avail_name(graph, ns, reach_memo,
-                                             in_progress, all_up)
-                if reachable <= 0.5:
+        return frozenset(universe.mask_to_hosts(kills))
+
+    def _single_failures(self, closures, target_id: int) -> int:
+        """:meth:`_alive` under the single-failure model (shared memo)."""
+        memo = self.shared_spof_memo
+        return self._alive(closures, target_id, {} if memo is None else memo,
+                           None, -1)
+
+    @staticmethod
+    def _alive(closures, root: int, memo: Dict[int, int],
+               up_by_slot: Optional[Dict[int, int]], full: int) -> int:
+        """Bitmask of the scenarios in which ``root`` resolves, exactly.
+
+        A node resolves in a scenario when every zone on its chain has a
+        nameserver that is up and itself resolves; a node without a chain
+        (a glued host) always resolves.  ``up_by_slot`` maps an NS slot to
+        the scenarios its server is up in (absent: ``full``).  ``None``
+        selects the single-failure model: scenario *s* fails slot *s* and
+        nothing else, ``full`` is ``-1``, and the infinite run of high bits
+        is the all-up scenario.
+
+        Dependency loops (mutual secondaries, in-bailiwick self-loops) get
+        the greatest fixpoint: a loop resolves unless a failure outside it
+        starves it.  Each strongly connected component is settled only
+        once it is closed (iterative Tarjan): its members start at ``full``
+        and are re-evaluated until no mask changes.  A settled mask does
+        not depend on the path that reached the node, so ``memo`` may be
+        shared across roots.
+        """
+        settled = memo.get(root)
+        if settled is not None:
+            return settled
+        split_ids = closures.split_ids
+        ns_slots = closures.universe.ns_slots
+        up_get = up_by_slot.get if up_by_slot is not None else None
+
+        def evaluate(node: int) -> int:
+            value = full
+            for zone in split_ids(node)[0]:
+                nameservers = split_ids(zone)[1]
+                if not nameservers:
+                    return 0
+                zone_up = 0
+                for ns in nameservers:
+                    slot = ns_slots[ns]
+                    up = ~(1 << slot) if up_get is None else up_get(slot, full)
+                    zone_up |= up & memo[ns]
+                value &= zone_up
+            return value
+
+        index: Dict[int, int] = {}
+        low: Dict[int, int] = {}
+        stack: List[int] = []
+        looped: Set[int] = set()
+        work: List[Tuple[int, Iterator[int]]] = []
+
+        def open_node(node: int) -> None:
+            index[node] = low[node] = len(index)
+            stack.append(node)
+            work.append((node, iter([ns for zone in split_ids(node)[0]
+                                     for ns in split_ids(zone)[1]])))
+
+        open_node(root)
+        while work:
+            node, successors = work[-1]
+            for succ in successors:
+                if succ in memo:
                     continue
-                hostname = ns[1]
-                term = frozenset({hostname}) | self._kill_name(
-                    graph, ns, memo, reach_memo, in_progress, shared)
-                zone_kill = term if zone_kill is None else (zone_kill & term)
-                if not zone_kill:
+                if succ not in index:
+                    open_node(succ)
                     break
-            if zone_kill:
-                kills |= zone_kill
-        result = frozenset(kills)
-        memo[node] = result
-        if self._taint_events == events_before:
-            if shared is not None:
-                shared[node] = result
-        else:
-            self._tainted.add(node)
-        return result
+                # Visited but unsettled: still on the Tarjan stack.
+                if succ == node:
+                    looped.add(node)
+                elif index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] != index[node]:
+                    continue
+                members: List[int] = []
+                while True:
+                    member = stack.pop()
+                    members.append(member)
+                    if member == node:
+                        break
+                if len(members) == 1 and node not in looped:
+                    memo[node] = evaluate(node)
+                    continue
+                for member in members:
+                    memo[member] = full
+                changed = True
+                while changed:
+                    changed = False
+                    for member in members:
+                        value = evaluate(member)
+                        if value != memo[member]:
+                            memo[member] = value
+                            changed = True
+        return memo[root]
 
     def single_points_of_failure_exhaustive(self, graph: DelegationView
                                             ) -> FrozenSet[DomainName]:
         """Reference implementation: re-evaluate resolution per TCB member.
 
-        One full availability evaluation per server — O(TCB × graph) versus
-        the kill-set recursion's single walk.  Kept as the ground truth the
-        tests compare :meth:`single_points_of_failure` against.
+        One exact evaluation per server — O(TCB × graph) versus the single
+        bit-parallel walk of :meth:`single_points_of_failure`.  Kept as the
+        slow reference the pass tests and benches compare against.
         """
         culprits = set()
         for hostname in graph.tcb():

@@ -399,11 +399,11 @@ class DelegationView:
     reachable from the target — a :class:`~repro.core.graphcore.KeyGraph`,
     the shared :class:`~repro.core.graphcore.DependencyUniverse`, or any
     object with the same ``successors``/``nodes`` surface, e.g. a
-    ``networkx.DiGraph`` built by a test), ``excluded_suffixes``, and an
-    implementation of :meth:`tcb`.  All structure accessors follow successor
-    edges from the target, so they observe exactly the nodes a per-name
-    subgraph copy would contain even when ``graph`` is the whole shared
-    universe.
+    ``networkx.DiGraph`` built by a test), ``excluded_suffixes``, and
+    implementations of :meth:`tcb_frozen` and :meth:`int_core`.  All
+    structure accessors follow successor edges from the target, so they
+    observe exactly the nodes a per-name subgraph copy would contain even
+    when ``graph`` is the whole shared universe.
     """
 
     target: DomainName
@@ -414,17 +414,33 @@ class DelegationView:
 
     def tcb(self) -> Set[DomainName]:
         """The trusted computing base: nameservers the target depends on."""
+        return set(self.tcb_frozen())
+
+    def tcb_frozen(self) -> FrozenSet[DomainName]:
+        """The TCB as a shared (do-not-mutate) frozenset."""
         raise NotImplementedError
 
     def tcb_size(self) -> int:
         """Number of nameservers in the TCB."""
-        return len(self.tcb())
+        return len(self.tcb_frozen())
 
     def _is_excluded(self, hostname: DomainName) -> bool:
         return any(hostname.is_subdomain_of(suffix)
                    for suffix in self.excluded_suffixes)
 
-    # -- structure accessors used by the bottleneck analysis -----------------------
+    # -- integer core -----------------------------------------------------------
+
+    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
+        """(universe, closure index, target id) the analyses run on.
+
+        :class:`~repro.core.mincut.BottleneckAnalyzer` and
+        :class:`~repro.core.availability.AvailabilityAnalyzer` evaluate
+        every view through this core.  Ids are local to the returned
+        universe and must never cross a process boundary.
+        """
+        raise NotImplementedError
+
+    # -- structure accessors ------------------------------------------------------
 
     def zones_of(self, node: NodeKey) -> List[NodeKey]:
         """Zone successors of a name or nameserver node."""
@@ -512,6 +528,8 @@ class DelegationGraph(DelegationView):
         self.excluded_suffixes = tuple(DomainName(s) for s in excluded_suffixes)
         if name_node(self.target) not in graph:
             graph.add_node(name_node(self.target))
+        self._core: Optional[Tuple[DependencyUniverse, ClosureIndex, int]] = \
+            None
 
     # -- basic views -----------------------------------------------------------
 
@@ -526,13 +544,38 @@ class DelegationGraph(DelegationView):
         """All zone apexes in the graph."""
         return sorted(key[1] for key in self.graph.nodes if key[0] == ZONE_KIND)
 
-    def tcb(self) -> Set[DomainName]:
-        """The trusted computing base: nameservers the target depends on.
+    def tcb_frozen(self) -> FrozenSet[DomainName]:
+        """Every nameserver reachable from the target.
 
         Root servers are excluded, matching the paper's TCB accounting.
         """
-        return {key[1] for key in self.graph.nodes
-                if key[0] == NS_KIND and not self._is_excluded(key[1])}
+        _universe, closures, target_id = self.int_core()
+        return closures.mask_set(closures.closure_mask_id(target_id))
+
+    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
+        """A private integer universe of everything the target reaches.
+
+        Built on first call and cached, so later edits to ``graph`` are not
+        seen.  The walk adds each node's edges in successor order, which is
+        the order the analyses break ties and multiply floats in.
+        """
+        if self._core is None:
+            universe = DependencyUniverse()
+            source = name_node(self.target)
+            seen = {source}
+            stack = [source]
+            while stack:
+                node = stack.pop()
+                node_id = universe.ensure_key(node)
+                for succ in self.graph.successors(node):
+                    universe.add_edge_ids(node_id, universe.ensure_key(succ))
+                    if succ not in seen:
+                        seen.add(succ)
+                        stack.append(succ)
+            self._core = (universe,
+                          ClosureIndex(universe, self.excluded_suffixes),
+                          universe.find_key(source))
+        return self._core
 
     def node_count(self) -> int:
         """Total nodes (names + zones + nameservers) in the graph."""
@@ -560,31 +603,21 @@ class TCBView(DelegationView):
     Ask the builder for a fresh view (or a full :class:`DelegationGraph`)
     after the universe has grown.
 
-    Integer-path consumers (:class:`~repro.core.mincut.BottleneckAnalyzer`,
-    :class:`~repro.core.availability.AvailabilityAnalyzer`) reach the raw
-    core through :meth:`int_core`; the ids they see are builder-local and
-    must never cross a process boundary.
+    The analyses reach the builder's universe, closure index and target id
+    through :meth:`int_core`.
     """
 
     def __init__(self, target: NameLike, universe: DependencyUniverse,
-                 mask: int, excluded_suffixes: Sequence[str] =
-                 DEFAULT_EXCLUDED_SUFFIXES,
-                 structure: Optional[ClosureIndex] = None,
-                 target_id: Optional[int] = None):
+                 mask: int, structure: ClosureIndex, target_id: int,
+                 excluded_suffixes: Sequence[str] = DEFAULT_EXCLUDED_SUFFIXES):
         self.target = DomainName(target)
         self.graph = universe
         self.excluded_suffixes = tuple(DomainName(s) for s in excluded_suffixes)
         self._mask = mask
         self._structure = structure
-        self._target_id = target_id if target_id is not None else \
-            universe.find_id(NAME_CODE, self.target)
+        self._target_id = target_id
 
-    # -- integer core -----------------------------------------------------------
-
-    def int_core(self) -> Optional[Tuple[DependencyUniverse, ClosureIndex, int]]:
-        """(universe, closure index, target id) for integer fast paths."""
-        if self._structure is None or self._target_id is None:
-            return None
+    def int_core(self) -> Tuple[DependencyUniverse, ClosureIndex, int]:
         return (self.graph, self._structure, self._target_id)
 
     def tcb_mask(self) -> int:
@@ -594,26 +627,16 @@ class TCBView(DelegationView):
     # -- NodeKey accessors -------------------------------------------------------
 
     def zones_of(self, node: NodeKey) -> List[NodeKey]:
-        if self._structure is None:
-            return super().zones_of(node)
         return self._structure.successors_split(node)[0]
 
     def nameservers_of_zone(self, zone: NodeKey) -> List[NodeKey]:
-        if self._structure is None:
-            return super().nameservers_of_zone(zone)
         return self._structure.successors_split(zone)[1]
-
-    def tcb(self) -> Set[DomainName]:
-        return set(self.tcb_frozen())
 
     def tcb_size(self) -> int:
         return self._mask.bit_count()
 
     def tcb_frozen(self) -> FrozenSet[DomainName]:
-        """The TCB as the shared (do-not-mutate) frozenset."""
-        if self._structure is not None:
-            return self._structure.mask_set(self._mask)
-        return frozenset(self.graph.mask_to_hosts(self._mask))
+        return self._structure.mask_set(self._mask)
 
     def in_bailiwick_servers(self) -> Set[DomainName]:
         zone = self.authoritative_zone()
@@ -682,9 +705,8 @@ class DelegationGraphBuilder:
         target = DomainName(name)
         source_id = self._ensure_name(target)
         mask = self._closures.closure_mask_id(source_id)
-        return TCBView(target, self._universe, mask,
-                       excluded_suffixes=self.excluded_suffixes,
-                       structure=self._closures, target_id=source_id)
+        return TCBView(target, self._universe, mask, self._closures,
+                       source_id, excluded_suffixes=self.excluded_suffixes)
 
     def closure_of(self, name: NameLike) -> FrozenSet[DomainName]:
         """The memoized TCB of ``name`` (discovering it if needed)."""

@@ -188,7 +188,7 @@ class WorkerContext:
         self.database = database
         self.vulnerability_map: Dict[DomainName, bool] = {}
         self.compromisable_map: Dict[DomainName, bool] = {}
-        self.mincut_memo: Dict[NodeKey, object] = {}
+        self.mincut_memo: Dict[int, object] = {}
         self.builder.closures.register_companion(self.mincut_memo)
         # Nothing in the universe points back at a name node, so every
         # name-independent analysis output (TCB report counts, bailiwick,

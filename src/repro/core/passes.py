@@ -203,7 +203,6 @@ class AvailabilityPass(AnalysisPass):
                                         shared_spof_memo={})
         worker.register_companion(analyzer.shared_memo)
         worker.register_companion(analyzer.shared_spof_memo)
-        worker.register_companion(analyzer.shared_reach_memo)
         return analyzer
 
     def refresh_state(self, state: AvailabilityAnalyzer,
@@ -214,7 +213,6 @@ class AvailabilityPass(AnalysisPass):
         # keep the analyzer so the registrations stay unique.
         state.shared_memo.clear()
         state.shared_spof_memo.clear()
-        state.shared_reach_memo.clear()
         return state
 
     def analyze(self, ctx: PassContext, state: AvailabilityAnalyzer

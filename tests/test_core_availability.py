@@ -212,7 +212,8 @@ def test_shared_memo_publishes_only_cycle_free_values():
 
     This mirrors the bottleneck memo's discipline: a value computed with a
     truncated dependency loop depends on where the recursion entered the
-    loop, so only clean values may cross evaluation roots.
+    loop, so only clean values may cross evaluation roots.  Memo keys are
+    node ids of the view's own universe.
     """
     # Acyclic: name -> zone -> two leaf nameservers without further chains.
     acyclic = nx.DiGraph()
@@ -224,21 +225,41 @@ def test_shared_memo_publishes_only_cycle_free_values():
     analyzer = AvailabilityAnalyzer(0.9, shared_memo={}, shared_spof_memo={})
     graph = DelegationGraph("www.flat.test", acyclic)
     value = analyzer.resolution_probability(graph)
-    assert ns_node("ns1.flat.test") in analyzer.shared_memo
-    assert target in analyzer.shared_memo
-    assert analyzer.shared_memo[target] == pytest.approx(value)
-    # Two redundant servers: no SPOF, and the (empty) kill set is published.
+    universe = graph.int_core()[0]
+    target_id = universe.find_key(target)
+    assert universe.find_key(ns_node("ns1.flat.test")) in analyzer.shared_memo
+    assert analyzer.shared_memo[target_id] == pytest.approx(value)
+    # Two redundant servers: no SPOF, and the target's single-failure mask
+    # (it resolves in every scenario, -1) is published.
     assert analyzer.single_points_of_failure(graph) == frozenset()
-    assert analyzer.shared_spof_memo[target] == frozenset()
+    assert analyzer.shared_spof_memo[target_id] == -1
 
     # Cyclic (mutual registry dependency): nothing tainted is published.
     cyclic_analyzer = AvailabilityAnalyzer(0.9, shared_memo={})
     cyclic = two_level_graph(ns_per_zone=2)
     cyclic_analyzer.resolution_probability(cyclic)
-    assert name_node("www.site.com") not in cyclic_analyzer.shared_memo
+    universe = cyclic.int_core()[0]
+    assert universe.find_key(name_node("www.site.com")) not in \
+        cyclic_analyzer.shared_memo
     for index in range(2):
-        assert ns_node(f"ns{index}.registry.net") not in \
+        assert universe.find_key(ns_node(f"ns{index}.registry.net")) not in \
             cyclic_analyzer.shared_memo
+
+
+def test_shared_memos_follow_the_view_universe():
+    """Every DelegationGraph has its own universe, so ids collide across
+    graphs: one shared-memo analyzer alternating between two hand-built
+    graphs must answer exactly like fresh analyzers."""
+    shared = AvailabilityAnalyzer(0.9, shared_memo={}, shared_spof_memo={})
+    graphs = [two_level_graph(ns_per_zone=1), two_level_graph(ns_per_zone=2),
+              two_level_graph(ns_per_zone=1)]
+    for graph in graphs + graphs:
+        fresh = AvailabilityAnalyzer(0.9)
+        assert shared.resolution_probability(graph) == \
+            fresh.resolution_probability(graph)
+        assert shared.single_points_of_failure(graph) == \
+            fresh.single_points_of_failure(graph)
+        assert shared.resolvable_with_failures(graph, set())
 
 
 def test_kill_set_spof_matches_exhaustive(mini_internet):

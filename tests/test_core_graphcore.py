@@ -1,16 +1,14 @@
-"""The integer graph core, and integer/generic analysis equivalence.
+"""The integer graph core, and hand-built topologies for the analyses.
 
 The first half unit-tests :mod:`repro.core.graphcore` (name table, universe
-duck API, CSR snapshot, slot bitsets).  The second half is the equivalence
-suite the CSR PR promises: for hand-built topologies — including cyclic
-(mutual secondaries), self-looped (in-bailiwick NS), and never-resolvable
-(dead zone) ones — the bitset/integer paths (closures, min-cut, analytic
-availability, bit-parallel Monte-Carlo, SPOF kill sets) must agree exactly
-with the frozenset/NodeKey reference paths running on a materialised
-:class:`DelegationGraph` of the same shape.
+duck API, CSR snapshot, slot bitsets).  The second half defines
+``TOPOLOGIES`` — hand-built shapes including cyclic (mutual secondaries),
+self-looped (in-bailiwick NS), and never-resolvable (dead zone) ones, which
+``test_core_oracles`` pins as examples for its brute-force oracles — and
+checks the bitset closures against plain BFS and the shared-memo,
+prefix-resumed evaluation over one universe against fresh per-name
+analysis of materialised :class:`DelegationGraph` copies.
 """
-
-import random
 
 import pytest
 
@@ -121,7 +119,7 @@ def test_keygraph_mirrors_digraph_surface():
     assert graph.number_of_edges() == 2
 
 
-# -- equivalence suite: integer paths vs. the generic reference ------------------------
+# -- hand-built topologies ---------------------------------------------------------------
 
 #: Topologies as NodeKey edge lists.  Every shape the recursions special-case
 #: is represented: plain chains, shared dependencies, mutual-secondary
@@ -185,13 +183,13 @@ VULNERABLE = {
 
 
 def _twin(edges):
-    """Build the same topology as (int universe + index, generic graph)."""
+    """Build the same topology as (int universe + index, KeyGraph copy)."""
     universe = DependencyUniverse()
-    generic = KeyGraph()
+    keyed = KeyGraph()
     for source, target in edges:
         universe.add_edge(source, target)
-        generic.add_edge(source, target)
-    return universe, ClosureIndex(universe), generic
+        keyed.add_edge(source, target)
+    return universe, ClosureIndex(universe), keyed
 
 
 def _int_view(universe, closures, name) -> TCBView:
@@ -202,14 +200,14 @@ def _int_view(universe, closures, name) -> TCBView:
                    target_id=target_id)
 
 
-def _reference_closure(generic, node):
+def _reference_closure(keyed, node):
     """Reachable non-excluded NS hostnames via a plain BFS (ground truth)."""
-    if node not in generic:
+    if node not in keyed:
         return frozenset()
     seen = {node}
     stack = [node]
     while stack:
-        for succ in generic.successors(stack.pop()):
+        for succ in keyed.successors(stack.pop()):
             if succ not in seen:
                 seen.add(succ)
                 stack.append(succ)
@@ -218,57 +216,14 @@ def _reference_closure(generic, node):
 
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 def test_bitset_closures_match_reference(topology):
-    universe, closures, generic = _twin(TOPOLOGIES[topology])
+    universe, closures, keyed = _twin(TOPOLOGIES[topology])
     for node in list(universe.nodes):
-        assert closures.closure(node) == _reference_closure(generic, node), \
+        assert closures.closure(node) == _reference_closure(keyed, node), \
             f"closure mismatch at {node} in {topology}"
 
 
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_integer_mincut_matches_generic(topology):
-    universe, closures, generic = _twin(TOPOLOGIES[topology])
-    vulnerability = {DomainName(host): True for host in VULNERABLE[topology]}
-    view = _int_view(universe, closures, "www.a.test")
-    graph = DelegationGraph("www.a.test", generic)
-    for aware in (True, False):
-        from_view = BottleneckAnalyzer(
-            vulnerability, vulnerability_aware=aware).analyze(view)
-        from_graph = BottleneckAnalyzer(
-            vulnerability, vulnerability_aware=aware).analyze(graph)
-        assert from_view.feasible == from_graph.feasible
-        assert from_view.cut_servers == from_graph.cut_servers
-        assert from_view.safe_in_cut == from_graph.safe_in_cut
-        assert from_view.vulnerable_in_cut == from_graph.vulnerable_in_cut
-
-
-@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_integer_availability_matches_generic(topology):
-    universe, closures, generic = _twin(TOPOLOGIES[topology])
-    view = _int_view(universe, closures, "www.a.test")
-    graph = DelegationGraph("www.a.test", generic)
-    int_analyzer = AvailabilityAnalyzer(0.9, shared_memo={},
-                                        shared_spof_memo={})
-    ref_analyzer = AvailabilityAnalyzer(0.9)
-
-    assert int_analyzer.resolution_probability(view) == \
-        ref_analyzer.resolution_probability(graph)
-    assert int_analyzer.single_points_of_failure(view) == \
-        ref_analyzer.single_points_of_failure(graph)
-    assert int_analyzer.single_points_of_failure(view) == \
-        ref_analyzer.single_points_of_failure_exhaustive(graph)
-    assert int_analyzer.monte_carlo(view, samples=64,
-                                    rng=random.Random(42)) == \
-        ref_analyzer.monte_carlo(graph, samples=64, rng=random.Random(42))
-    for failed in ([], ["ns1.a.test"], ["ns1.a.test", "ns2.a.test"],
-                   ["ns.a.test", "ns.b.test"]):
-        down = {DomainName(host) for host in failed}
-        assert int_analyzer.resolvable_with_failures(view, down) == \
-            ref_analyzer.resolvable_with_failures(graph, down), \
-            f"resolvable mismatch with {failed} down in {topology}"
-
-
 def test_never_resolvable_name_has_full_tcb_spof():
-    universe, closures, _generic = _twin(TOPOLOGIES["never_resolvable"])
+    universe, closures, _keyed = _twin(TOPOLOGIES["never_resolvable"])
     view = _int_view(universe, closures, "www.a.test")
     analyzer = AvailabilityAnalyzer(0.99)
     assert analyzer.resolution_probability(view) == 0.0
@@ -277,9 +232,9 @@ def test_never_resolvable_name_has_full_tcb_spof():
 
 
 def test_undiscovered_name_is_unresolvable():
-    universe, closures, generic = _twin(TOPOLOGIES["chain"])
+    universe, closures, keyed = _twin(TOPOLOGIES["chain"])
     view = _int_view(universe, closures, "ghost.test")
-    graph = DelegationGraph("ghost.test", generic)
+    graph = DelegationGraph("ghost.test", keyed)
     analyzer = AvailabilityAnalyzer(0.99)
     assert analyzer.resolution_probability(view) == \
         analyzer.resolution_probability(graph) == 0.0
@@ -289,13 +244,13 @@ def test_undiscovered_name_is_unresolvable():
 def test_prefix_resume_matches_fresh_analysis_across_many_names():
     """Shared-analyzer evaluation over many names sharing a TLD (the
     prefix-resume + zone-replay machinery) must equal fresh per-name
-    generic analysis."""
+    analysis of materialised graphs."""
     universe = DependencyUniverse()
-    generic = KeyGraph()
+    keyed = KeyGraph()
 
     def edge(source, target):
         universe.add_edge(source, target)
-        generic.add_edge(source, target)
+        keyed.add_edge(source, target)
 
     # One TLD with mutually-dependent registry servers (tainted region) and
     # many SLDs below it, with in-bailiwick self-loops and one shared
@@ -327,7 +282,7 @@ def test_prefix_resume_matches_fresh_analysis_across_many_names():
         stack = [source]
         while stack:
             node = stack.pop()
-            for succ in generic.successors(node):
+            for succ in keyed.successors(node):
                 copy.add_edge(node, succ)
                 if succ not in seen:
                     seen.add(succ)

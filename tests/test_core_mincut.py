@@ -158,6 +158,23 @@ def test_cycles_do_not_blow_up():
     assert result.size == 2
 
 
+def test_shared_memo_follows_the_view_universe():
+    """Memo keys are universe-local node ids and every DelegationGraph has
+    its own universe: a shared-memo analyzer alternating between graphs
+    must match fresh analyzers."""
+    vulnerability_map = {DomainName("ns1.provider.com"): True}
+    shared = BottleneckAnalyzer(vulnerability_map, shared_memo={})
+    narrow = nx.DiGraph()
+    narrow.add_edge(name_node("www.site.com"), zone_node("site.com"))
+    narrow.add_edge(zone_node("site.com"), ns_node("ns9.other.net"))
+    graphs = [hand_built_graph(), DelegationGraph("www.site.com", narrow)]
+    for graph in graphs + graphs:
+        got = shared.analyze(graph)
+        want = BottleneckAnalyzer(vulnerability_map).analyze(graph)
+        assert (got.cut_servers, got.safe_in_cut) == \
+            (want.cut_servers, want.safe_in_cut)
+
+
 def test_empty_graph_is_infeasible():
     graph = DelegationGraph("www.nowhere.zz", nx.DiGraph())
     result = BottleneckAnalyzer().analyze(graph)
