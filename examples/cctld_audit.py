@@ -20,7 +20,7 @@ Run with::
 
     python examples/cctld_audit.py                      # audits .ua
     python examples/cctld_audit.py --tld by             # another ccTLD
-    python examples/cctld_audit.py --backend thread --workers 4
+    python examples/cctld_audit.py --backend process --workers 4
 """
 
 from __future__ import annotations

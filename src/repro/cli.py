@@ -64,7 +64,7 @@ Subcommands
 
         repro-dns worker --listen 0.0.0.0:8053        # on each host
         repro-dns survey --backend socket \\
-            --worker-addrs hostA:8053,hostB:8053 --output sharded.json
+            --worker-addrs hostA:8053,hostB:8053 --output socket.json
 ``merge``
     Union shard snapshot files written by ``survey --shard i/n`` into
     one results snapshot, operating on the binary columns without
@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="survey execution backend (all backends "
                              "produce identical results)")
     survey.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker/shard count for the thread, sharded, "
-                             "and process backends")
+                        help="worker/shard count for the process and "
+                             "socket backends")
     survey.add_argument("--passes", type=str, default=None,
                         help="comma-separated analysis passes, e.g. "
                              "'availability,dnssec' or "
@@ -604,7 +604,8 @@ def _command_survey(args: argparse.Namespace) -> int:
 
 def _command_survey_shard(args: argparse.Namespace) -> int:
     """Survey one stripe of the directory into a binary shard file."""
-    from repro.core.engine import EngineConfig, SurveyAggregator, SurveyEngine
+    from repro.core.engine import (EngineConfig, SurveyAggregator,
+                                   SurveyEngine, stripe)
     from repro.core.snapstore import pack_shard_result
 
     if not args.output:
@@ -620,7 +621,7 @@ def _command_survey_shard(args: argparse.Namespace) -> int:
         backend="serial", include_bottleneck=not args.no_bottleneck,
         passes=build_passes(args.passes)))
     entries = engine._select_entries(None, args.max_names)
-    indexed = list(enumerate(entries))[index::count]
+    indexed = stripe(list(enumerate(entries)), count)[index]
     popular = {entry.name for entry in
                internet.directory.alexa_top(engine.config.popular_count)}
     aggregator = SurveyAggregator(

@@ -202,11 +202,11 @@ class ClosureIndex:
         graph = self._graph
         out = graph.out
         ns_slots = graph.ns_slots
-        # When the universe has stopped growing (post-run inspection,
-        # recomputation after a sharded merge) the frozen CSR snapshot is
-        # still valid and the walk reads it; during discovery the snapshot
-        # is stale and the growable rows are iterated directly.  Row order
-        # is identical either way.
+        # When the universe has stopped growing (post-run inspection, a
+        # saved universe) the frozen CSR snapshot is still valid and the
+        # walk reads it; during discovery the snapshot is stale and the
+        # growable rows are iterated directly.  Row order is identical
+        # either way.
         csr = graph.csr_if_fresh()
         offsets = targets = None
         if csr is not None:
@@ -322,19 +322,6 @@ class ClosureIndex:
         return split
 
     # -- invalidation -------------------------------------------------------------------
-
-    def clear(self) -> None:
-        """Drop every memoized closure (companion memos included)."""
-        self._memo.clear()
-        self._split.clear()
-        self._key_split.clear()
-        for companion in self._companions:
-            companion.clear()
-        self.version += 1
-        # A full clear happens when a shard universe was just absorbed; the
-        # merged graph is typically final, so freeze the CSR snapshot now
-        # and the recomputation walks the arrays instead of the rows.
-        self._graph.csr()
 
     def reset_companions(self) -> None:
         """Clear every companion memo and bump the version, keeping closures.
@@ -714,21 +701,6 @@ class DelegationGraphBuilder:
         source_id = self._ensure_name(target)
         return self._closures.mask_set(
             self._closures.closure_mask_id(source_id))
-
-    def absorb(self, other: "DelegationGraphBuilder") -> None:
-        """Fold another builder's discovered universe into this one.
-
-        Used by the sharded survey backends to merge per-shard universes
-        back into the primary builder: nodes, edges, chain caches, and
-        expansion markers are adopted (re-interned — integer ids are
-        builder-local), and the closure memo is reset because merged edges
-        may extend existing closures.
-        """
-        self._universe.merge(other._universe)
-        self._chain_cache.update(other._chain_cache)
-        self._expanded_hosts |= other._expanded_hosts
-        self._expanded_names |= other._expanded_names
-        self._closures.clear()
 
     def apply_changes(self, changes, dirty_names: Iterable[NameLike] = ()
                       ) -> None:

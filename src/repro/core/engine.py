@@ -29,28 +29,23 @@ Execution backends
 ``serial``
     One worker context, names processed in directory order.  This is the
     reference backend: every other backend must produce identical results.
-``thread``
-    The directory is striped over ``workers`` shards, each with its own
-    resolver (cloned cache), builder, fingerprinter, and analysis memos, and
-    the shards run concurrently on a thread pool.
-``sharded``
-    Same partitioning, but shards run sequentially — a deterministic batch
-    mode that bounds per-shard memory and mirrors how a multi-process or
-    multi-host deployment would split the directory.
 ``process``
-    Same partitioning, shards run in forked child processes — true
-    parallelism with no GIL contention.  Worker contexts are constructed
-    *inside* each child; only shard outputs (records by directory index,
-    fingerprints, vulnerability maps) return over the pipe.  Requires an OS
-    with the ``fork`` start method (the synthetic Internet is shared by
-    inheritance, not by pickling).
+    The entries are striped over ``workers`` shards (:func:`stripe`) that
+    run in forked child processes.  Each child builds its own resolver
+    (cloned cache), builder, fingerprinter, and analysis memos; only shard
+    outputs (records by directory index, fingerprints, vulnerability maps)
+    return over the pipe.  Requires an OS with the ``fork`` start method
+    (the synthetic Internet is shared by inheritance, not by pickling).
+``socket``
+    The same striping, with each shard surveyed by a ``repro-dns worker``
+    over TCP (:mod:`repro.distrib.coordinator`).
 
-Shard outputs (universes, chain caches, fingerprint maps, vulnerability
-maps) are merged back deterministically in shard order, and records are
+This module owns the shard rule: :func:`stripe` partitions the entries
+(the process backend, the socket coordinator, and the offline
+``survey --shard i/n`` all call it), and :meth:`SurveyEngine._fold_shard`
+folds one shard's outputs.  Shards fold in stripe order and records are
 reassembled in directory order, so **the same seed yields byte-identical
-results on every backend** (query answers are time-independent, so thread
-interleaving cannot change them; only the netsim transport accounting —
-simulated clock and query counters — is interleaving-ordered).
+results on every backend**.
 """
 
 from __future__ import annotations
@@ -59,17 +54,16 @@ import dataclasses
 import multiprocessing
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
+    TypeVar,
 )
 
 from repro.dns.name import DomainName, NameLike
@@ -89,10 +83,29 @@ from repro.vulns.fingerprint import Fingerprinter, FingerprintResult
 from repro.topology.webdirectory import DirectoryEntry
 
 #: Execution backends understood by the engine.
-BACKENDS: Tuple[str, ...] = ("serial", "thread", "sharded", "process",
-                             "socket")
+BACKENDS: Tuple[str, ...] = ("serial", "process", "socket")
 
 ProgressCallback = Callable[[int, int], None]
+
+T = TypeVar("T")
+
+
+def stripe(indexed: Sequence[T], count: int) -> List[List[T]]:
+    """The shard rule: stripe ``k`` of ``count`` is ``indexed[k::count]``.
+
+    Every stripe keeps its entries in index order, and folding the stripes
+    in stripe order (:meth:`SurveyEngine._fold_shard`) reproduces the
+    serial result.  Stripes past the last entry are empty.
+    """
+    return [list(indexed[offset::count]) for offset in range(count)]
+
+
+def shard_plan(indexed: Sequence[T], workers: int) -> List[List[T]]:
+    """Stripe over ``workers`` shards, never more shards than entries.
+
+    An empty input still yields one (empty) shard.
+    """
+    return stripe(indexed, min(workers, max(len(indexed), 1)))
 
 
 @dataclasses.dataclass
@@ -101,7 +114,6 @@ class EngineConfig:
 
     backend: str = "serial"
     workers: int = 1
-    shard_count: Optional[int] = None
     popular_count: int = 500
     include_bottleneck: bool = True
     use_glue: bool = True
@@ -141,14 +153,12 @@ class EngineConfig:
             raise ValueError(
                 "the process backend requires the fork start method "
                 "(the synthetic Internet is shared by inheritance); "
-                "use thread or sharded on this platform")
+                "use serial or socket on this platform")
         if self.backend == "socket" and not self.worker_addrs:
             raise ValueError("the socket backend needs worker_addrs "
                              "(host:port of each repro-dns worker)")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.shard_count is not None and self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
         if self.retry_backoff < 0:
@@ -165,18 +175,17 @@ class EngineConfig:
         """How many shards a partitioned backend should use."""
         if self.backend == "socket":
             return len(self.worker_addrs)
-        if self.shard_count is not None:
-            return self.shard_count
         return max(self.workers, 1)
 
 
 class WorkerContext:
     """Per-shard execution state: resolver, builder, fingerprinter, memos.
 
-    The serial backend uses a single context; the partitioned backends give
-    every shard its own so no mutable state crosses shard boundaries.  The
-    bottleneck memo is registered as a companion of the builder's closure
-    index, so universe growth invalidates both in one pass.
+    The serial backend uses a single context; the process backend gives
+    every forked shard its own so no mutable state crosses shard
+    boundaries.  The bottleneck memo is registered as a companion of the
+    builder's closure index, so universe growth invalidates both in one
+    pass.
     """
 
     def __init__(self, internet, database: VulnerabilityDatabase, resolver,
@@ -237,9 +246,9 @@ class WorkerContext:
 class SurveyAggregator:
     """Streams per-name records into aggregate survey state.
 
-    Thread-safe: the partitioned backends fold records from several shards
-    concurrently.  Records are keyed by their directory index so the final
-    record list is in directory order regardless of completion order.
+    Guarded by a lock, so records may be folded from several threads.
+    Records are keyed by their directory index so the final record list is
+    in directory order regardless of completion order.
     """
 
     def __init__(self, total: int,
@@ -304,7 +313,7 @@ class SurveyAggregator:
     def merge_maps(self, fingerprints: Dict[DomainName, FingerprintResult],
                    vulnerability_map: Dict[DomainName, bool],
                    compromisable_map: Dict[DomainName, bool]) -> None:
-        """Adopt already-extracted shard maps (the process backend's path)."""
+        """Adopt already-extracted shard maps."""
         with self._lock:
             self._fingerprints.update(fingerprints)
             self._vulnerability_map.update(vulnerability_map)
@@ -447,20 +456,20 @@ class SurveyEngine:
 
     # -- name selection -----------------------------------------------------------------
 
+    def _entry_for(self, name: NameLike) -> DirectoryEntry:
+        """The directory entry for ``name``, or an ad-hoc one off-directory."""
+        entry = self.internet.directory.entry(name)
+        if entry is None:
+            name = DomainName(name)
+            entry = DirectoryEntry(name=name, tld=name.tld or "",
+                                   category="adhoc", popularity=1.0)
+        return entry
+
     def _select_entries(self, names: Optional[Iterable[NameLike]],
                         max_names: Optional[int]) -> List[DirectoryEntry]:
-        directory = self.internet.directory
         if names is not None:
-            selected: List[DirectoryEntry] = []
-            for name in names:
-                entry = directory.entry(name)
-                if entry is None:
-                    entry = DirectoryEntry(name=DomainName(name),
-                                           tld=DomainName(name).tld or "",
-                                           category="adhoc", popularity=1.0)
-                selected.append(entry)
-            return selected
-        entries = directory.entries()
+            return [self._entry_for(name) for name in names]
+        entries = self.internet.directory.entries()
         if max_names is not None and max_names < len(entries):
             entries = entries[:max_names]
         return entries
@@ -487,7 +496,9 @@ class SurveyEngine:
 
         Shared by :meth:`run` (the whole directory) and :meth:`run_delta`
         (just the dirty subset) so backend selection can never diverge
-        between the cold and incremental paths.
+        between the cold and incremental paths.  Entries arrive pre-indexed
+        with their directory positions, so a stripe of the dirty subset
+        still lands its records at their full-directory indices.
         """
         backend = self.config.backend
         if backend == "socket":
@@ -495,11 +506,12 @@ class SurveyEngine:
             # of the backend is *where* the survey runs, not parallelism.
             self._ensure_coordinator().run_shards(
                 indexed, popular, aggregator, dirty=self._dispatch_dirty)
-        elif backend == "serial" or \
-                (backend != "process" and self.config.effective_shards() == 1):
-            self._run_shard(self._root, indexed, popular, aggregator)
+        elif backend == "process":
+            self._run_process_shards(
+                shard_plan(indexed, self.config.workers), popular,
+                aggregator)
         else:
-            self._run_partitioned(indexed, popular, aggregator, backend)
+            self._run_shard(self._root, indexed, popular, aggregator)
 
     def _final_metadata(self, requested: int,
                         aggregator: SurveyAggregator) -> Dict[str, object]:
@@ -573,15 +585,6 @@ class SurveyEngine:
             # precise error on a pre-folded ChangeSet).
             self._ensure_coordinator().sync_journal(journal)
 
-        # A journalled deployment extends the signed world; deployment-
-        # tracking passes adopt it so their metadata matches a cold engine
-        # configured for the extended deployment.
-        for deployment in changes.dnssec_deployments:
-            for pass_ in self.passes:
-                adopt = getattr(pass_, "adopt_deployment", None)
-                if adopt is not None:
-                    adopt(deployment)
-
         dirty = set(DirtyIndex(previous).dirty_names(changes))
         dirty_indexed: List[Tuple[int, DirectoryEntry]] = []
         clean_records: List[Tuple[int, NameRecord]] = []
@@ -598,7 +601,7 @@ class SurveyEngine:
             else:
                 clean_records.append((position, previous_record))
 
-        self._invalidate_for_changes(changes, dirty)
+        self._apply_changes(changes, dirty)
 
         popular = {entry.name for entry in
                    self.internet.directory.alexa_top(self.config.popular_count)}
@@ -643,20 +646,28 @@ class SurveyEngine:
         return DeltaOutcome(results=results, stats=stats,
                             dirty=frozenset(dirty))
 
-    def _invalidate_for_changes(self, changes,
-                                dirty: Set[DomainName]) -> None:
-        """Surgically invalidate the primary context for a world change.
+    def _apply_changes(self, changes, dirty: Set[DomainName]) -> None:
+        """Bring the engine up to date with a journalled world change.
 
-        The builder rewires the warm universe (see
+        A journalled DNSSEC deployment extends the signed world first:
+        deployment-tracking passes adopt it, so their metadata matches a
+        cold engine configured for the extended deployment.  Then the
+        primary context is surgically invalidated.  The builder rewires
+        the warm universe (see
         :meth:`~repro.core.delegation.DelegationGraphBuilder.apply_changes`);
         banner changes additionally retire the affected fingerprint and
         vulnerability verdicts, and any verdict-sensitive memo (mincut
         companions, per-chain analyses, validator zone caches) when
-        verdicts or signatures may have changed.  Partitioned backends
-        build their shard contexts *after* this, by cloning the
+        verdicts or signatures may have changed.  The process backend
+        builds its shard contexts *after* this, by cloning the
         invalidated primary resolver, so every backend sees the same
         post-change world.
         """
+        for deployment in changes.dnssec_deployments:
+            for pass_ in self.passes:
+                adopt = getattr(pass_, "adopt_deployment", None)
+                if adopt is not None:
+                    adopt(deployment)
         context = self._root
         context.builder.apply_changes(changes, dirty)
         for host in changes.refingerprint_hosts:
@@ -682,41 +693,23 @@ class SurveyEngine:
             aggregator.add_record(index, record)
         aggregator.merge_context(context)
 
-    def _run_partitioned(self, indexed: List[Tuple[int, DirectoryEntry]],
-                         popular: Set[DomainName],
-                         aggregator: SurveyAggregator,
-                         backend: str) -> None:
-        """Stripe the indexed entries over shards and run them on ``backend``.
+    def _fold_shard(self, aggregator: SurveyAggregator,
+                    rows: Sequence[int], records: Sequence[NameRecord],
+                    fingerprints: Dict[DomainName, FingerprintResult],
+                    vulnerability_map: Dict[DomainName, bool],
+                    compromisable_map: Dict[DomainName, bool]) -> None:
+        """Fold one shard's outputs into the run and the primary context.
 
-        Entries arrive pre-indexed with their directory positions so the
-        delta path can stripe just the dirty subset while records still
-        land at their full-directory indices.
+        Callers fold shards in stripe order, so the per-host maps merge
+        (dict update, last wins) the same way on every backend.
         """
-        shard_count = min(self.config.effective_shards(), max(len(indexed), 1))
-        shards = [indexed[offset::shard_count] for offset in range(shard_count)]
-        if backend == "process":
-            self._run_process_shards(shards, popular, aggregator)
-            return
-        contexts = [self._make_worker_context() for _ in shards]
-        if backend == "thread":
-            with ThreadPoolExecutor(max_workers=self.config.workers) as pool:
-                futures = [
-                    pool.submit(self._run_shard, context, shard, popular,
-                                aggregator)
-                    for context, shard in zip(contexts, shards)]
-                for future in futures:
-                    future.result()
-        else:
-            for context, shard in zip(contexts, shards):
-                self._run_shard(context, shard, popular, aggregator)
-        # Deterministic merge in shard order: the primary builder adopts
-        # every shard universe so post-run inspection (`engine.builder`)
-        # sees the complete dependency graph.
-        for context in contexts:
-            self._root.builder.absorb(context.builder)
-            self._root.fingerprinter.absorb(context.fingerprinter)
-            self._root.vulnerability_map.update(context.vulnerability_map)
-            self._root.compromisable_map.update(context.compromisable_map)
+        for index, record in zip(rows, records):
+            aggregator.add_record(index, record)
+        aggregator.merge_maps(fingerprints, vulnerability_map,
+                              compromisable_map)
+        self._root.fingerprinter.adopt(fingerprints)
+        self._root.vulnerability_map.update(vulnerability_map)
+        self._root.compromisable_map.update(compromisable_map)
 
     def _run_process_shards(self, shards: List[List[Tuple[int,
                                                           DirectoryEntry]]],
@@ -727,11 +720,11 @@ class SurveyEngine:
         The engine (and the synthetic Internet it closes over) reaches each
         child by fork inheritance through a module global — nothing about
         the world is pickled.  Each child builds its own
-        :class:`WorkerContext` and returns ``(records-by-index,
-        fingerprints, vulnerability map, compromisable map)``; the merge is
-        the exact shard-order fold the ``sharded`` backend performs, so
-        results are byte-identical.  Unlike the in-process backends the
-        child universes are not absorbed back into the primary builder
+        :class:`WorkerContext` and returns its shard outputs.  Ordered
+        ``imap`` keeps the fold in shard order while letting each completed
+        shard fold (and report progress) as soon as every earlier shard
+        has: progress is per-shard granular on this backend, not per-name.
+        The child universes are not absorbed back into the primary builder
         (shipping whole shard graphs over the pipe would dwarf the survey
         itself), so post-run ``engine.builder`` inspection only sees the
         primary context's discoveries.
@@ -745,34 +738,13 @@ class SurveyEngine:
         with _FORK_LOCK:
             _FORK_STATE = (self, shards, popular)
             try:
-                self._consume_process_pool(context, processes, shards,
-                                           popular, aggregator)
+                with context.Pool(processes=processes) as pool:
+                    for outputs in pool.imap(_process_shard_main,
+                                             range(len(shards)),
+                                             chunksize=1):
+                        self._fold_shard(aggregator, *outputs)
             finally:
                 _FORK_STATE = None
-
-    def _consume_process_pool(self, context, processes: int,
-                              shards: List[List[Tuple[int, DirectoryEntry]]],
-                              popular: Set[DomainName],
-                              aggregator: SurveyAggregator) -> None:
-        """Fork the pool and fold shard outputs as they complete, in order.
-
-        Ordered ``imap`` keeps the merge in shard order while letting each
-        completed shard fold (and report progress) as soon as every earlier
-        shard has: progress is per-shard granular on this backend, not
-        per-name.
-        """
-        with context.Pool(processes=processes) as pool:
-            for records, fingerprints, vulnerability_map, \
-                    compromisable_map in pool.imap(
-                        _process_shard_main, range(len(shards)),
-                        chunksize=1):
-                for index, record in records:
-                    aggregator.add_record(index, record)
-                aggregator.merge_maps(fingerprints, vulnerability_map,
-                                      compromisable_map)
-                self._root.fingerprinter.adopt(fingerprints)
-                self._root.vulnerability_map.update(vulnerability_map)
-                self._root.compromisable_map.update(compromisable_map)
 
     # -- stages -------------------------------------------------------------------------
 
@@ -903,16 +875,16 @@ def _process_shard_main(shard_index: int):
     """Survey one shard inside a forked child.
 
     Builds a fresh worker context from the fork-inherited engine (cloned
-    resolver cache, own builder/fingerprinter/memos/pass state — exactly
-    what the in-process partitioned backends give each shard) and returns
-    the shard's outputs by directory index.
+    resolver cache, own builder/fingerprinter/memos/pass state) and returns
+    the :meth:`SurveyEngine._fold_shard` arguments after the aggregator:
+    directory indices, records, fingerprints, and the two verdict maps.
     """
     engine, shards, popular = _FORK_STATE
     context = engine._make_worker_context()
-    records = []
-    for index, entry in shards[shard_index]:
-        record = engine._survey_entry(context, entry, entry.name in popular)
-        records.append((index, record))
-    return (records, context.fingerprinter.results(),
+    shard = shards[shard_index]
+    records = [engine._survey_entry(context, entry, entry.name in popular)
+               for _index, entry in shard]
+    return ([index for index, _entry in shard], records,
+            context.fingerprinter.results(),
             dict(context.vulnerability_map),
             dict(context.compromisable_map))

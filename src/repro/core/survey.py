@@ -343,11 +343,11 @@ class Survey:
     include_bottleneck:
         Whether to run the (slightly more expensive) min-cut analysis.
     backend:
-        Execution backend: ``"serial"`` (default), ``"thread"``,
-        ``"sharded"``, or ``"process"``.  All backends produce identical
-        results for the same seed.
+        Execution backend: ``"serial"`` (default), ``"process"``, or
+        ``"socket"``.  All backends produce identical results for the same
+        seed.
     workers:
-        Worker/shard count for the partitioned backends.
+        Worker/shard count for the process backend.
     passes:
         Extra analysis passes to run per name — pass instances or spec
         strings such as ``"availability"`` (see :mod:`repro.core.passes`).

@@ -4,11 +4,11 @@
 creation it ships a BUILD frame describing the world (the seeded
 ``GeneratorConfig``) and the engine options, so each worker regenerates
 the identical synthetic Internet and holds a warm serial engine.  Each
-:meth:`run_shards` call stripes the indexed entries exactly like
-``SurveyEngine._run_partitioned`` (``indexed[offset::shard_count]``),
-ships one ``KIND_ORDER`` frame per shard in parallel, then folds the
-returned ``KIND_SHARD`` columns **in shard order** — the same fold
-``_consume_process_pool`` performs — so the merged
+:meth:`run_shards` call stripes the indexed entries with the engine's
+shard rule (:func:`~repro.core.engine.shard_plan`), ships one
+``KIND_ORDER`` frame per shard in parallel, then folds the returned
+``KIND_SHARD`` columns **in shard order** through the engine's
+``_fold_shard`` — the same fold the process backend uses — so the merged
 :class:`~repro.core.survey.SurveyResults` is byte-identical to the
 serial backend's.
 
@@ -70,6 +70,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.engine import shard_plan
 from repro.core.snapstore import (ShardPayload, SnapshotFormatError,
                                   unpack_shard_result)
 from repro.distrib.wire import (ENV_AUTH_TOKEN, FRAME_BUILD, FRAME_ERROR,
@@ -148,7 +149,7 @@ class FaultReport:
 
 
 class ShardCoordinator:
-    """Connect to workers, build their worlds, and run sharded surveys."""
+    """Connect to workers, build their worlds, and shard surveys over them."""
 
     def __init__(self, engine, worker_addrs: Sequence[str],
                  connect_timeout: float = 10.0,
@@ -495,7 +496,7 @@ class ShardCoordinator:
             self._journals.append((journal, len(events)))
         self._specs.extend(event.to_spec() for event in fresh)
 
-    # -- the sharded survey --------------------------------------------------------------
+    # -- the shard survey ----------------------------------------------------------------
 
     def _assign(self, shard_index: int) -> int:
         """The worker a shard runs on, honouring deaths and the floor.
@@ -561,15 +562,13 @@ class ShardCoordinator:
                    dirty: Sequence = ()) -> None:
         """Survey ``indexed`` entries across the workers and fold results.
 
-        Mirrors ``_run_partitioned`` striping and the process backend's
-        shard-order fold exactly, so results are byte-identical to the
+        Stripes and folds through the engine's shard helpers, exactly as
+        the process backend does, so results are byte-identical to the
         serial engine over the same (possibly delta-invalidated) world.
         """
         if self._closed:
             raise DistribError("coordinator already closed")
-        shard_count = min(len(self._labels), max(len(indexed), 1))
-        shards = [indexed[offset::shard_count]
-                  for offset in range(shard_count)]
+        shards = shard_plan(indexed, len(self._labels))
         dirty_names = sorted(str(name) for name in dirty)
         orders = []
         for shard in shards:
@@ -583,7 +582,6 @@ class ShardCoordinator:
         else:
             payloads = self._broadcast(FRAME_SURVEY, orders, FRAME_RESULT)
 
-        engine = self._engine
         for position, payload in enumerate(payloads):
             label = self._labels[position]
             try:
@@ -594,14 +592,9 @@ class ShardCoordinator:
                 raise DistribError(
                     f"worker {label} returned an undecodable shard: "
                     f"{error}") from error
-            for index, record in zip(shard.rows, shard.records):
-                aggregator.add_record(index, record)
-            aggregator.merge_maps(shard.fingerprints,
-                                  shard.vulnerability_map,
-                                  shard.compromisable_map)
-            engine._root.fingerprinter.adopt(shard.fingerprints)
-            engine._root.vulnerability_map.update(shard.vulnerability_map)
-            engine._root.compromisable_map.update(shard.compromisable_map)
+            self._engine._fold_shard(
+                aggregator, shard.rows, shard.records, shard.fingerprints,
+                shard.vulnerability_map, shard.compromisable_map)
 
     # -- wire accounting / lifecycle -----------------------------------------------------
 

@@ -78,20 +78,25 @@ def test_inspect_unknown_name(capsys):
     assert "could not walk" in capsys.readouterr().out
 
 
-def test_survey_backend_and_workers_flags(capsys):
-    exit_code = main(["survey", "--max-names", "25", "--backend", "thread",
-                      "--workers", "2", *TINY])
+def test_survey_backend_and_workers_flags(tmp_path, capsys):
+    from repro.core.snapshot import load_results
+
+    path = tmp_path / "snapshot.json"
+    exit_code = main(["survey", "--max-names", "25", "--backend", "process",
+                      "--workers", "3", "--output", str(path), *TINY])
     assert exit_code == 0
     assert "mean_tcb_size" in capsys.readouterr().out
+    metadata = load_results(path).metadata
+    assert (metadata["backend"], metadata["workers"]) == ("process", 3)
 
 
 def test_survey_backends_agree_on_headline(capsys):
     outputs = {}
-    for backend in ("serial", "sharded"):
+    for backend in ("serial", "process"):
         main(["survey", "--max-names", "30", "--backend", backend,
               "--workers", "3", *TINY])
         outputs[backend] = capsys.readouterr().out
-    assert outputs["serial"] == outputs["sharded"]
+    assert outputs["serial"] == outputs["process"]
 
 
 def test_survey_progress_flag_prints_to_stderr(capsys):
@@ -454,6 +459,28 @@ def test_parser_shard_spec():
     for bad in ("5/5", "-1/3", "1of3", "2/"):
         with pytest.raises(SystemExit):
             parser.parse_args(["survey", "--shard", bad])
+
+
+def test_survey_rejects_removed_backends(capsys):
+    for backend in ("thread", "sharded"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["survey", "--backend", backend, *TINY])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def test_survey_shard_past_the_last_name_writes_an_empty_shard(tmp_path,
+                                                               capsys):
+    from repro.core.snapstore import unpack_shard_result
+
+    path = tmp_path / "shard.rsnap"
+    exit_code = main(["survey", "--max-names", "3", "--shard", "4/5",
+                      "--output", str(path), *TINY])
+    assert exit_code == 0
+    assert "shard 4/5: 0 of 3 names surveyed" in capsys.readouterr().out
+    shard = unpack_shard_result(path)
+    assert list(shard.rows) == []
+    assert shard.records == []
 
 
 def test_survey_shard_requires_output(capsys):

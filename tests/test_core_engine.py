@@ -15,7 +15,8 @@ from repro.core.delegation import (
     zone_node,
 )
 from repro.core.graphcore import DependencyUniverse
-from repro.core.engine import BACKENDS, EngineConfig, SurveyEngine
+from repro.core.engine import (BACKENDS, EngineConfig, SurveyEngine,
+                               shard_plan, stripe)
 from repro.core.mincut import BottleneckAnalyzer
 from repro.core.snapshot import load_results, results_to_dict, save_results
 from repro.core.survey import Survey
@@ -255,7 +256,7 @@ def test_engine_records_match_fresh_per_name_analysis(small_internet):
 
 def test_engine_snapshot_round_trip(small_internet, tmp_path):
     engine = SurveyEngine(small_internet,
-                          config=EngineConfig(backend="sharded", workers=2,
+                          config=EngineConfig(backend="process", workers=2,
                                               popular_count=10))
     results = engine.run(max_names=40)
     path = save_results(results, tmp_path / "engine.json")
@@ -265,16 +266,6 @@ def test_engine_snapshot_round_trip(small_internet, tmp_path):
         [r.to_dict() for r in results.records]
 
 
-def test_thread_backend_progress_is_monotonic(small_internet):
-    calls = []
-    survey = Survey(small_internet, popular_count=5, backend="thread",
-                    workers=3)
-    survey.run(max_names=30,
-               progress=lambda done, total: calls.append((done, total)))
-    assert [done for done, _ in calls] == list(range(1, 31))
-    assert all(total == 30 for _, total in calls)
-
-
 # -- engine configuration ----------------------------------------------------------------
 
 def test_engine_config_rejects_unknown_backend():
@@ -282,8 +273,31 @@ def test_engine_config_rejects_unknown_backend():
         EngineConfig(backend="gpu").validate()
     with pytest.raises(ValueError):
         EngineConfig(workers=0).validate()
-    with pytest.raises(ValueError):
-        EngineConfig(shard_count=0).validate()
+
+
+def test_engine_config_rejects_removed_backends():
+    assert BACKENDS == ("serial", "process", "socket")
+    for backend in ("thread", "sharded"):
+        with pytest.raises(ValueError) as excinfo:
+            EngineConfig(backend=backend).validate()
+        for name in BACKENDS:
+            assert name in str(excinfo.value)
+
+
+def test_stripe_partitions_in_index_order():
+    indexed = list(enumerate("abcdefg"))
+    stripes = stripe(indexed, 3)
+    assert stripes == [[(0, "a"), (3, "d"), (6, "g")],
+                       [(1, "b"), (4, "e")],
+                       [(2, "c"), (5, "f")]]
+    assert sorted(sum(stripes, [])) == indexed
+    # More stripes than entries: the surplus stripes are empty, which is
+    # what lets `survey --shard i/n` write an empty shard file.
+    assert stripe(indexed[:2], 4) == [[(0, "a")], [(1, "b")], [], []]
+    # A run never uses more shards than entries, and at least one.
+    assert shard_plan(indexed[:2], 4) == [[(0, "a")], [(1, "b")]]
+    assert shard_plan([], 3) == [[]]
+    assert shard_plan(indexed, 1) == [indexed]
 
 
 def test_survey_facade_exposes_engine(small_internet):
@@ -291,12 +305,3 @@ def test_survey_facade_exposes_engine(small_internet):
     assert survey.engine.builder is survey.builder
     assert survey.engine.resolver is survey.resolver
     assert survey.engine.fingerprinter is survey.fingerprinter
-
-
-def test_sharded_run_merges_universe_into_primary_builder(small_internet):
-    survey = Survey(small_internet, popular_count=5, backend="sharded",
-                    workers=3)
-    results = survey.run(max_names=45)
-    discovered = survey.builder.discovered_nameservers()
-    for record in results.resolved_records():
-        assert record.tcb_servers <= discovered

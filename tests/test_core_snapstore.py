@@ -41,8 +41,9 @@ from repro.topology.generator import GeneratorConfig, InternetGenerator
 #: Two seeds so the codec matrix never passes by topological accident.
 SEEDS = (20040722, 1977)
 
-#: Every execution backend must produce snapshots both codecs round-trip.
-BACKENDS = ("serial", "thread", "sharded", "process")
+#: Every backend that runs without a worker fleet must produce snapshots
+#: both codecs round-trip.
+BACKENDS = ("serial", "process")
 
 #: Passes chosen for column coverage: float extras (availability), string
 #: extras (dnssec_status), and a finalize() cross-record reduce (value).

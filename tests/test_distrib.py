@@ -1,7 +1,7 @@
 """Tests for the distributed survey subsystem (``repro.distrib``).
 
 Covers the wire protocol (framing, checksums, precise failure text), the
-coordinator/worker identity guarantee (socket-sharded results byte-identical
+coordinator/worker identity guarantee (socket-backend results byte-identical
 to the serial engine, cold and delta), the offline shard merge tool, and
 every coordinator failure path the issue names: worker crash mid-shard,
 truncated and corrupt frames, connect refusal, response timeout — each
@@ -147,8 +147,25 @@ def worker_trio():
     for thread in threads:
         thread.start()
     yield [server.address for server in servers]
+    # A test may leave some servers listening (one that drives a single
+    # worker by hand); stop those first so the joins never wait out their
+    # timeouts.
+    for server, thread in zip(servers, threads):
+        if thread.is_alive():
+            _shutdown_worker(server.address)
     for thread in threads:
         thread.join(timeout=5)
+
+
+def _shutdown_worker(address):
+    """Send SHUTDOWN to a worker; one that already stopped is fine."""
+    try:
+        with socket.create_connection(parse_address(address),
+                                      timeout=5.0) as connection:
+            send_frame(connection, FRAME_SHUTDOWN)
+            recv_frame(connection, timeout=5.0)
+    except (OSError, WireError):
+        pass
 
 
 def test_socket_cold_survey_identical_to_serial(small_internet, worker_trio):
@@ -157,14 +174,14 @@ def test_socket_cold_survey_identical_to_serial(small_internet, worker_trio):
     survey = Survey(small_internet, popular_count=20, backend="socket",
                     worker_addrs=worker_trio)
     try:
-        sharded = survey.run(max_names=90)
+        merged = survey.run(max_names=90)
     finally:
         survey.close()
-    assert _strip_metadata(sharded) == _strip_metadata(serial)
-    assert sharded.headline() == serial.headline()
-    assert sharded.metadata["backend"] == "socket"
-    assert sharded.metadata["workers"] == 3
-    assert sharded.metadata["shards"] == 3
+    assert _strip_metadata(merged) == _strip_metadata(serial)
+    assert merged.headline() == serial.headline()
+    assert merged.metadata["backend"] == "socket"
+    assert merged.metadata["workers"] == 3
+    assert merged.metadata["shards"] == 3
 
 
 def test_socket_survey_reports_wire_stats(small_internet, worker_trio):
@@ -272,7 +289,7 @@ def test_worker_rejects_survey_before_build(worker_trio):
 @pytest.mark.parametrize("seed", [11, 77])
 def test_full_scale_socket_identity(seed):
     """The issue's acceptance bar: at ``sld_count=8000`` the merged
-    socket-sharded results are byte-identical to the serial backend,
+    socket-backend results are byte-identical to the serial backend,
     cold and after a delta re-survey, with real worker processes."""
     config = GeneratorConfig(seed=seed, sld_count=8000,
                              directory_name_count=800,
