@@ -66,9 +66,10 @@ Subcommands
         repro-dns survey --backend socket \\
             --worker-addrs hostA:8053,hostB:8053 --output socket.json
 ``merge``
-    Union shard snapshot files written by ``survey --shard i/n`` into
-    one results snapshot, operating on the binary columns without
-    hydrating records::
+    Fold shard snapshot files written by ``survey --shard i/n`` into one
+    results snapshot through the engine's shard fold, so records,
+    aggregates and pass metadata match a serial survey of the same
+    world::
 
         repro-dns survey --shard 0/3 --output s0.rsnap   # + 1/3, 2/3
         repro-dns merge s0.rsnap s1.rsnap s2.rsnap --output full.rsnap
@@ -319,9 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     merge = subparsers.add_parser(
         "merge",
-        help="union shard snapshot files (survey --shard outputs) into "
-             "one results snapshot, operating on the binary columns "
-             "without hydrating records")
+        help="fold shard snapshot files (survey --shard outputs) into "
+             "one results snapshot through the engine's shard fold; "
+             "records, aggregates and pass metadata match a serial "
+             "survey of the same world")
     merge.add_argument("shards", type=str, nargs="+",
                        help="shard snapshot files covering every stripe "
                             "exactly once")
@@ -604,8 +606,7 @@ def _command_survey(args: argparse.Namespace) -> int:
 
 def _command_survey_shard(args: argparse.Namespace) -> int:
     """Survey one stripe of the directory into a binary shard file."""
-    from repro.core.engine import (EngineConfig, SurveyAggregator,
-                                   SurveyEngine, stripe)
+    from repro.core.engine import EngineConfig, SurveyEngine, stripe
     from repro.core.snapstore import pack_shard_result
 
     if not args.output:
@@ -624,23 +625,18 @@ def _command_survey_shard(args: argparse.Namespace) -> int:
     indexed = stripe(list(enumerate(entries)), count)[index]
     popular = {entry.name for entry in
                internet.directory.alexa_top(engine.config.popular_count)}
-    aggregator = SurveyAggregator(
-        total=len(indexed),
+    shard = engine._survey_stripe(
+        engine._root, indexed, popular,
         progress=ProgressPrinter() if args.progress else None)
-    engine._run_shard(engine._root, indexed, popular, aggregator)
-    rows_records = aggregator.indexed_records()
-    fingerprints, vulnerability_map, compromisable_map = \
-        aggregator.shard_maps()
+    # Pass spec strings (as in the socket BUILD frame): `repro-dns merge`
+    # rebuilds the passes from them to reproduce the pass metadata.
     path = pack_shard_result(
-        [row for row, _record in rows_records],
-        [record for _row, record in rows_records],
-        fingerprints, vulnerability_map, compromisable_map,
-        popular=popular,
+        *shard, popular=popular,
         meta={"shard": f"{index}/{count}",
               "popular_count": engine.config.popular_count,
               "include_bottleneck": engine.config.include_bottleneck,
               "names_requested": len(entries),
-              "passes": [pass_.name for pass_ in engine.passes]},
+              "passes": [pass_.spec() for pass_ in engine.passes]},
         path=args.output)
     print(f"shard {index}/{count}: {len(indexed)} of {len(entries)} names "
           f"surveyed, written to {path}")

@@ -42,10 +42,13 @@ Execution backends
 
 This module owns the shard rule: :func:`stripe` partitions the entries
 (the process backend, the socket coordinator, and the offline
-``survey --shard i/n`` all call it), and :meth:`SurveyEngine._fold_shard`
-folds one shard's outputs.  Shards fold in stripe order and records are
-reassembled in directory order, so **the same seed yields byte-identical
-results on every backend**.
+``survey --shard i/n`` all call it), :meth:`SurveyEngine._survey_stripe`
+produces one stripe's :class:`ShardOutputs` (in a forked child, in a
+socket worker, or in ``survey --shard``), and
+:meth:`SurveyAggregator.fold_shard` folds them back (the process backend,
+the coordinator, and ``repro-dns merge``).  Records are reassembled in
+directory order and the per-host maps carry deterministic verdicts, so
+**the same seed yields byte-identical results on every backend**.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -94,8 +98,8 @@ def stripe(indexed: Sequence[T], count: int) -> List[List[T]]:
     """The shard rule: stripe ``k`` of ``count`` is ``indexed[k::count]``.
 
     Every stripe keeps its entries in index order, and folding the stripes
-    in stripe order (:meth:`SurveyEngine._fold_shard`) reproduces the
-    serial result.  Stripes past the last entry are empty.
+    (:meth:`SurveyAggregator.fold_shard`) reproduces the serial result.
+    Stripes past the last entry are empty.
     """
     return [list(indexed[offset::count]) for offset in range(count)]
 
@@ -106,6 +110,23 @@ def shard_plan(indexed: Sequence[T], workers: int) -> List[List[T]]:
     An empty input still yields one (empty) shard.
     """
     return stripe(indexed, min(workers, max(len(indexed), 1)))
+
+
+def pass_metadata(passes: Sequence[AnalysisPass],
+                  aggregator: "SurveyAggregator") -> Dict[str, object]:
+    """Every pass's ``metadata()``, then every pass's ``finalize`` reduce.
+
+    Cross-record reduces run over the folded aggregator, whose state is
+    identical on every backend (and between a cold run, a delta run that
+    patched the same records, and an offline shard merge), so the
+    finalizer output is too.
+    """
+    metadata: Dict[str, object] = {}
+    for pass_ in passes:
+        metadata.update(pass_.metadata())
+    for pass_ in passes:
+        metadata.update(pass_.finalize(aggregator))
+    return metadata
 
 
 @dataclasses.dataclass
@@ -243,6 +264,22 @@ class WorkerContext:
             result.banner)
 
 
+class ShardOutputs(NamedTuple):
+    """One stripe's fold inputs, in the order every shard producer emits.
+
+    ``rows`` holds each record's directory index; the three maps are the
+    stripe's fingerprints and per-host verdicts.  A decoded
+    :class:`~repro.core.snapstore.ShardPayload` carries the same five
+    fields, so either folds through :meth:`SurveyAggregator.fold_shard`.
+    """
+
+    rows: List[int]
+    records: List[NameRecord]
+    fingerprints: Dict[DomainName, FingerprintResult]
+    vulnerability_map: Dict[DomainName, bool]
+    compromisable_map: Dict[DomainName, bool]
+
+
 class SurveyAggregator:
     """Streams per-name records into aggregate survey state.
 
@@ -290,19 +327,26 @@ class SurveyAggregator:
         with self._lock:
             return dict(self._vulnerability_map)
 
-    def indexed_records(self) -> List[Tuple[int, NameRecord]]:
-        """(directory index, record) pairs in index order (a copy)."""
+    def shard_outputs(self) -> ShardOutputs:
+        """This aggregator's records and maps as one shard's fold inputs."""
         with self._lock:
-            return sorted(self._records.items())
+            rows = sorted(self._records)
+            return ShardOutputs(rows, [self._records[row] for row in rows],
+                                dict(self._fingerprints),
+                                dict(self._vulnerability_map),
+                                dict(self._compromisable_map))
 
-    def shard_maps(self) -> Tuple[Dict[DomainName, FingerprintResult],
-                                  Dict[DomainName, bool],
-                                  Dict[DomainName, bool]]:
-        """Copies of the merged fingerprint/vulnerability/compromisable maps."""
-        with self._lock:
-            return (dict(self._fingerprints),
-                    dict(self._vulnerability_map),
-                    dict(self._compromisable_map))
+    def fold_shard(self, shard) -> None:
+        """Fold one shard's :class:`ShardOutputs` (or decoded payload).
+
+        Records land at their directory index; the maps merge by dict
+        update.  A host's verdicts are the same in every shard that
+        probed it, so the fold order never changes the result.
+        """
+        for index, record in zip(shard.rows, shard.records):
+            self.add_record(index, record)
+        self.merge_maps(shard.fingerprints, shard.vulnerability_map,
+                        shard.compromisable_map)
 
     def merge_context(self, context: WorkerContext) -> None:
         """Adopt a worker context's fingerprints and vulnerability maps."""
@@ -515,13 +559,7 @@ class SurveyEngine:
 
     def _final_metadata(self, requested: int,
                         aggregator: SurveyAggregator) -> Dict[str, object]:
-        """Survey metadata plus pass metadata and finalize() reduces.
-
-        Cross-record reduces run here: every record (and every shard's
-        maps) has been folded by now, and the aggregator state is identical
-        on all backends — and identical between a cold run and a delta run
-        that patched the same records — so finalizer output is too.
-        """
+        """Survey metadata plus :func:`pass_metadata` over the aggregator."""
         backend = self.config.backend
         metadata = {
             "popular_count": self.config.popular_count,
@@ -534,10 +572,7 @@ class SurveyEngine:
                        else self.config.effective_shards()),
             "passes": [pass_.name for pass_ in self.passes],
         }
-        for pass_ in self.passes:
-            metadata.update(pass_.metadata())
-        for pass_ in self.passes:
-            metadata.update(pass_.finalize(aggregator))
+        metadata.update(pass_metadata(self.passes, aggregator))
         if backend == "socket" and self._coordinator is not None and \
                 self._coordinator.fault_report.any():
             # Only on faulted runs: clean runs keep metadata byte-stable
@@ -693,23 +728,32 @@ class SurveyEngine:
             aggregator.add_record(index, record)
         aggregator.merge_context(context)
 
-    def _fold_shard(self, aggregator: SurveyAggregator,
-                    rows: Sequence[int], records: Sequence[NameRecord],
-                    fingerprints: Dict[DomainName, FingerprintResult],
-                    vulnerability_map: Dict[DomainName, bool],
-                    compromisable_map: Dict[DomainName, bool]) -> None:
-        """Fold one shard's outputs into the run and the primary context.
+    def _survey_stripe(self, context: WorkerContext,
+                       indexed_entries: List[Tuple[int, DirectoryEntry]],
+                       popular: Set[DomainName],
+                       progress: Optional[ProgressCallback] = None
+                       ) -> ShardOutputs:
+        """Survey one stripe through :meth:`_run_shard`; its fold inputs.
 
-        Callers fold shards in stripe order, so the per-host maps merge
-        (dict update, last wins) the same way on every backend.
+        The one shard producer: the process backend's forked child, the
+        socket worker, and ``survey --shard`` all call it.
         """
-        for index, record in zip(rows, records):
-            aggregator.add_record(index, record)
-        aggregator.merge_maps(fingerprints, vulnerability_map,
-                              compromisable_map)
-        self._root.fingerprinter.adopt(fingerprints)
-        self._root.vulnerability_map.update(vulnerability_map)
-        self._root.compromisable_map.update(compromisable_map)
+        aggregator = SurveyAggregator(total=len(indexed_entries),
+                                      progress=progress)
+        self._run_shard(context, indexed_entries, popular, aggregator)
+        return aggregator.shard_outputs()
+
+    def _fold_shard(self, aggregator: SurveyAggregator, shard) -> None:
+        """Fold one shard into the run and adopt its maps as primary state.
+
+        The fold itself is :meth:`SurveyAggregator.fold_shard`; what is
+        left here keeps ``engine.fingerprinter`` and
+        :meth:`vulnerability_maps` current after a partitioned run.
+        """
+        aggregator.fold_shard(shard)
+        self._root.fingerprinter.adopt(shard.fingerprints)
+        self._root.vulnerability_map.update(shard.vulnerability_map)
+        self._root.compromisable_map.update(shard.compromisable_map)
 
     def _run_process_shards(self, shards: List[List[Tuple[int,
                                                           DirectoryEntry]]],
@@ -742,7 +786,7 @@ class SurveyEngine:
                     for outputs in pool.imap(_process_shard_main,
                                              range(len(shards)),
                                              chunksize=1):
-                        self._fold_shard(aggregator, *outputs)
+                        self._fold_shard(aggregator, outputs)
             finally:
                 _FORK_STATE = None
 
@@ -871,20 +915,13 @@ _FORK_STATE: Optional[Tuple["SurveyEngine", List[List[Tuple[int,
 _FORK_LOCK = threading.Lock()
 
 
-def _process_shard_main(shard_index: int):
+def _process_shard_main(shard_index: int) -> ShardOutputs:
     """Survey one shard inside a forked child.
 
     Builds a fresh worker context from the fork-inherited engine (cloned
     resolver cache, own builder/fingerprinter/memos/pass state) and returns
-    the :meth:`SurveyEngine._fold_shard` arguments after the aggregator:
-    directory indices, records, fingerprints, and the two verdict maps.
+    the stripe's :class:`ShardOutputs`.
     """
     engine, shards, popular = _FORK_STATE
-    context = engine._make_worker_context()
-    shard = shards[shard_index]
-    records = [engine._survey_entry(context, entry, entry.name in popular)
-               for _index, entry in shard]
-    return ([index for index, _entry in shard], records,
-            context.fingerprinter.results(),
-            dict(context.vulnerability_map),
-            dict(context.compromisable_map))
+    return engine._survey_stripe(engine._make_worker_context(),
+                                 shards[shard_index], popular)

@@ -1155,11 +1155,11 @@ def pack_shard_result(rows: Sequence[int], records: Sequence[NameRecord],
     """Encode one shard's survey output as a REPRO-SNAP shard container.
 
     ``rows`` holds the *global* directory index of each record, exactly as
-    epoch deltas do, so a merge can place every column slice without
-    hydrating a record.  With ``path=None`` the container is returned as
-    bytes (the worker's wire payload); with a path it lands on disk (the
+    epoch deltas do, so the shard fold lands every record at its place.
+    With ``path=None`` the container is returned as bytes (the worker's
+    wire payload); with a path it lands on disk (the
     ``repro-dns survey --shard i/n`` output that ``repro-dns merge``
-    unions).
+    folds).
     """
     if len(rows) != len(records):
         raise ValueError(f"{len(rows)} rows for {len(records)} records")

@@ -1,14 +1,16 @@
 """The shard coordinator: drives N socket workers and folds their columns.
 
 :class:`ShardCoordinator` owns one TCP connection per worker.  On
-creation it ships a BUILD frame describing the world (the seeded
-``GeneratorConfig``) and the engine options, so each worker regenerates
-the identical synthetic Internet and holds a warm serial engine.  Each
+creation it connects to every worker in parallel, ships a BUILD frame
+describing the world (the seeded ``GeneratorConfig``) and the engine
+options, so each worker regenerates the identical synthetic Internet and
+holds a warm serial engine, and PINGs it as the first heartbeat.  Each
 :meth:`run_shards` call stripes the indexed entries with the engine's
 shard rule (:func:`~repro.core.engine.shard_plan`), ships one
 ``KIND_ORDER`` frame per shard in parallel, then folds the returned
 ``KIND_SHARD`` columns **in shard order** through the engine's
-``_fold_shard`` — the same fold the process backend uses — so the merged
+``_fold_shard`` — the same fold the process backend and the offline
+``repro-dns merge`` use — so the merged
 :class:`~repro.core.survey.SurveyResults` is byte-identical to the
 serial backend's.
 
@@ -19,14 +21,17 @@ apply only the tail they have not seen.  The epoch's complete dirty-name
 set rides along so every worker invalidates its warm state for *all*
 dirty names, not just the ones striped onto it this epoch.
 
-**Failure handling is policy-driven.**  With the default
-``RetryPolicy()`` (``retries=0``) any worker failure — connect refusal,
-timeout, truncated or corrupt frame, an ERROR frame carrying the
-worker's exception — aborts the whole run promptly: the coordinator
-closes every connection (unblocking any thread still waiting on a
-slower worker) and raises a :class:`~repro.distrib.wire.DistribError`
-naming the worker and cause.  No partial results are ever folded into
-the caller's aggregator on the failure path.
+**Failure handling is policy-driven, on one scheduler.**  Startup and
+every shard run through the same retrying exchange; the policy only sets
+its budget.  With the default ``RetryPolicy()`` (``retries=0``, a zero
+budget) any worker failure — connect refusal, timeout, truncated or
+corrupt frame, an ERROR frame carrying the worker's exception — re-raises
+its precise error at once: the coordinator closes every connection
+(unblocking any thread still waiting on a slower worker), declares no
+worker dead, reassigns nothing, and raises a
+:class:`~repro.distrib.wire.DistribError` naming the worker and cause.
+No partial results are ever folded into the caller's aggregator on the
+failure path.
 
 With ``retries > 0`` the coordinator *recovers* instead:
 
@@ -105,7 +110,8 @@ class RetryPolicy:
     ``retries`` is the per-incident budget: how many times one exchange
     may be re-attempted (reconnecting and re-building as needed) before
     the worker is declared dead and its shard reassigned.  ``retries=0``
-    is the strict legacy mode — any failure aborts the whole run.
+    is a zero budget: the first failure re-raises its own error and the
+    whole run aborts.
 
     Backoff before the k-th retry is ``min(backoff_max, backoff_base *
     2**k)`` scaled by a jitter factor in [0.5, 1.0) drawn from a RNG
@@ -186,7 +192,6 @@ class ShardCoordinator:
                 f"{len(self._labels)} configured workers")
         self._min_workers = min_workers
         self._auth_token = auth_token
-        self._recovering = self.policy.retries > 0
         self._sockets: List[Optional[socket.socket]] = \
             [None] * len(self._labels)
         self._alive = [True] * len(self._labels)
@@ -212,18 +217,7 @@ class ShardCoordinator:
                 "passes": self._pass_specs(engine),
             },
         }, sort_keys=True).encode("utf-8")
-
-        if not self._recovering:
-            for position in range(len(self._labels)):
-                try:
-                    self._connect(position)
-                except DistribError:
-                    self._abort()
-                    raise
-            self._broadcast(FRAME_BUILD, [self._build] * len(self._labels),
-                            FRAME_OK)
-        else:
-            self._prepare_workers()
+        self._prepare_workers()
 
     @staticmethod
     def _pass_specs(engine) -> List[str]:
@@ -331,20 +325,17 @@ class ShardCoordinator:
                 f"got {FRAME_NAMES[reply_type]}")
         return reply
 
-    def _request(self, position: int, frame_type: int, payload: bytes,
-                 expect: int) -> bytes:
-        """Legacy single-attempt exchange (abort-all callers)."""
-        return self._exchange(position, frame_type, payload, expect,
-                              self._response_timeout)
-
     def _exchange_with_retry(self, position: int, frame_type: int,
                              payload: bytes, expect: int,
                              timeout: float) -> bytes:
         """Exchange with reconnect/rebuild retries per the policy.
 
-        Raises :class:`WorkerLostError` (after marking the worker dead)
-        once the budget is exhausted; non-retryable worker errors and
-        auth rejections propagate immediately.
+        Once a positive budget is exhausted the worker is marked dead and
+        :class:`WorkerLostError` raised (the caller reassigns its shard).
+        A zero budget re-raises the failure itself, so a strict run
+        aborts with the precise cause and no worker is declared dead.
+        Non-retryable worker errors and auth rejections propagate
+        immediately.
         """
         label = self._labels[position]
         attempt = 0
@@ -370,6 +361,8 @@ class ShardCoordinator:
             except (WireError, WorkerUnreachable, OSError) as error:
                 failure = error
                 self._drop(position)
+            if not self.policy.retries:
+                raise failure
             if recovery_start is None:
                 recovery_start = time.monotonic()
             if attempt >= self.policy.retries:
@@ -386,12 +379,14 @@ class ShardCoordinator:
             attempt += 1
 
     def _prepare_workers(self) -> None:
-        """Recovery-mode startup: connect/auth/build with retries.
+        """Startup: connect, authenticate, BUILD and PING every worker.
 
-        A worker that stays unreachable is marked dead here and its
-        shards are reassigned from the first epoch; the run only aborts
-        if the floor is broken.  The PING after BUILD doubles as the
-        first heartbeat.
+        Workers are prepared in parallel through the retrying exchange.
+        With a positive budget a worker that stays unreachable is marked
+        dead here and its shards are reassigned from the first epoch; the
+        run only aborts if the floor is broken.  With a zero budget the
+        first failure aborts startup.  The PING after BUILD doubles as
+        the first heartbeat.
         """
         first_error: Optional[BaseException] = None
         with ThreadPoolExecutor(max_workers=len(self._labels)) as pool:
@@ -421,60 +416,6 @@ class ShardCoordinator:
                                       self._response_timeout)
         except WorkerLostError:
             pass  # floor is enforced by the caller
-
-    def ping(self) -> List[bool]:
-        """Heartbeat every worker; False marks dead or unresponsive."""
-        health = []
-        for position in range(len(self._labels)):
-            if not self._alive[position]:
-                health.append(False)
-                continue
-            try:
-                with self._worker_locks[position]:
-                    self._ensure_ready(position)
-                    self._exchange(position, FRAME_PING, b"", FRAME_OK,
-                                   self._response_timeout)
-                health.append(True)
-            except (DistribError, OSError):
-                self._drop(position)
-                health.append(False)
-        return health
-
-    def _broadcast(self, frame_type: int, payloads: Sequence[bytes],
-                   expect: int) -> List[bytes]:
-        """Send one frame to every worker in parallel; abort-all on error."""
-        replies: List[Optional[bytes]] = [None] * len(payloads)
-        first_error: Optional[BaseException] = None
-        with ThreadPoolExecutor(max_workers=len(payloads)) as pool:
-            futures = {
-                pool.submit(self._request, position, frame_type,
-                            payloads[position], expect): position
-                for position in range(len(payloads))}
-            for future in as_completed(futures):
-                try:
-                    replies[futures[future]] = future.result()
-                except BaseException as error:
-                    if first_error is None:
-                        first_error = error
-                        # Closing every socket unblocks threads still
-                        # waiting on slower workers.
-                        self._abort()
-        if first_error is not None:
-            if isinstance(first_error, DistribError):
-                raise first_error
-            raise DistribError(f"worker exchange failed: "
-                               f"{first_error}") from first_error
-        for position, reply in enumerate(replies):
-            if reply is None:
-                # A missing reply without an exception would misalign the
-                # shard fold (shard k's columns applied at position j).
-                self._abort()
-                raise DistribError(
-                    f"worker {self._labels[position]} produced neither a "
-                    f"reply nor an error for its "
-                    f"{FRAME_NAMES.get(frame_type, frame_type)} frame; "
-                    f"aborting before the shard fold can misalign")
-        return list(replies)  # type: ignore[arg-type]
 
     # -- delta composition ---------------------------------------------------------------
 
@@ -517,12 +458,17 @@ class ShardCoordinator:
             return shard_index
         return alive[shard_index % len(alive)]
 
-    def _run_order(self, shard_index: int, order: bytes) -> bytes:
-        """Run one shard to completion, reassigning across dead workers."""
+    def _run_order(self, shard_index: int,
+                   order: bytes) -> Tuple[int, bytes]:
+        """Run one shard to completion, reassigning across dead workers.
+
+        Returns the position of the worker that served it (a survivor
+        after a reassignment) with its RESULT payload.
+        """
         while True:
             position = self._assign(shard_index)
             try:
-                return self._exchange_with_retry(
+                return position, self._exchange_with_retry(
                     position, FRAME_SURVEY, order, FRAME_RESULT,
                     self._response_timeout)
             except WorkerLostError:
@@ -530,9 +476,14 @@ class ShardCoordinator:
                     self.fault_report.reassignments += 1
                 # Loop: _assign picks a survivor (or raises at the floor).
 
-    def _run_orders(self, orders: Sequence[bytes]) -> List[bytes]:
-        """Recovery-mode scheduler: every shard retried/reassigned."""
-        results: List[Optional[bytes]] = [None] * len(orders)
+    def _run_orders(self, orders: Sequence[bytes]
+                    ) -> List[Tuple[int, bytes]]:
+        """Run every shard in parallel; (serving position, payload) each.
+
+        The first failure closes every connection (unblocking threads
+        still waiting on slower workers) and is raised as the run's error.
+        """
+        results: List[Optional[Tuple[int, bytes]]] = [None] * len(orders)
         first_error: Optional[BaseException] = None
         with ThreadPoolExecutor(max_workers=len(orders)) as pool:
             futures = {
@@ -577,12 +528,7 @@ class ShardCoordinator:
                 [str(entry.name) for _index, entry in shard],
                 [entry.name in popular for _index, entry in shard],
                 self._specs, dirty_names))
-        if self._recovering:
-            payloads = self._run_orders(orders)
-        else:
-            payloads = self._broadcast(FRAME_SURVEY, orders, FRAME_RESULT)
-
-        for position, payload in enumerate(payloads):
+        for position, payload in self._run_orders(orders):
             label = self._labels[position]
             try:
                 shard: ShardPayload = unpack_shard_result(
@@ -592,9 +538,7 @@ class ShardCoordinator:
                 raise DistribError(
                     f"worker {label} returned an undecodable shard: "
                     f"{error}") from error
-            self._engine._fold_shard(
-                aggregator, shard.rows, shard.records, shard.fingerprints,
-                shard.vulnerability_map, shard.compromisable_map)
+            self._engine._fold_shard(aggregator, shard)
 
     # -- wire accounting / lifecycle -----------------------------------------------------
 

@@ -15,9 +15,11 @@ coordinator connects and drives it with frames (:mod:`repro.distrib.wire`):
   the epoch's global dirty-name set.  The worker applies only the spec
   tail it has not seen (keeping its warm universe exactly as stale as a
   serial delta engine's), brings its engine up to date through
-  :meth:`SurveyEngine._apply_changes`, surveys its names, and
-  replies with a **RESULT** frame whose payload is a ``KIND_SHARD``
-  column container (records by global index, fingerprints, verdict maps).
+  :meth:`SurveyEngine._apply_changes`, surveys its names on its warm
+  context through :meth:`SurveyEngine._survey_stripe` (the one shard
+  producer), and replies with a **RESULT** frame whose payload is a
+  ``KIND_SHARD`` column container (records by global index,
+  fingerprints, verdict maps).
 * **PING** — liveness heartbeat, acked with OK (no payload, no state).
 * **HELLO** — shared-secret auth handshake.  A worker started with an
   auth token (``--auth-token`` / ``REPRO_AUTH_TOKEN``) rejects every
@@ -251,13 +253,11 @@ class WorkerServer:
                     f"{error}); worker state discarded, re-BUILD "
                     f"required") from error
 
-        context = engine._root
-        records = [engine._survey_entry(context, engine._entry_for(name),
-                                        is_popular)
-                   for name, is_popular in zip(names, popular_flags)]
+        entries = [engine._entry_for(name) for name in names]
+        popular = {entry.name for entry, is_popular
+                   in zip(entries, popular_flags) if is_popular}
+        shard = engine._survey_stripe(engine._root,
+                                      list(zip(indices, entries)), popular)
         return pack_shard_result(
-            indices, records, context.fingerprinter.results(),
-            dict(context.vulnerability_map),
-            dict(context.compromisable_map),
-            meta={"worker": self.address, "names": len(indices),
-                  "specs_applied": self._applied_specs})
+            *shard, meta={"worker": self.address, "names": len(indices),
+                          "specs_applied": self._applied_specs})

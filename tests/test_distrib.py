@@ -21,13 +21,15 @@ from repro.core.engine import EngineConfig, SurveyAggregator, SurveyEngine
 from repro.core.snapshot import load_results, results_to_dict
 from repro.core.survey import Survey
 from repro.distrib import DistribError, WireError
-from repro.distrib.coordinator import LocalWorkerFleet, ShardCoordinator
+from repro.distrib.coordinator import (LocalWorkerFleet, RetryPolicy,
+                                       ShardCoordinator)
 from repro.distrib.merge import merge_shard_snapshots
 from repro.distrib.wire import (FRAME_BUILD, FRAME_ERROR, FRAME_HEADER_SIZE,
-                                FRAME_OK, FRAME_RESULT, FRAME_SHUTDOWN,
-                                FRAME_SURVEY, WIRE_MAGIC, _FRAME_HEADER,
-                                pack_work_order, parse_address, recv_frame,
-                                send_frame, unpack_work_order)
+                                FRAME_OK, FRAME_PING, FRAME_RESULT,
+                                FRAME_SHUTDOWN, FRAME_SURVEY, WIRE_MAGIC,
+                                _FRAME_HEADER, pack_work_order,
+                                parse_address, recv_frame, send_frame,
+                                unpack_work_order)
 from repro.distrib.worker import WorkerServer
 from repro.topology.changes import ChangeJournal
 from repro.topology.generator import GeneratorConfig, InternetGenerator
@@ -338,11 +340,12 @@ def test_full_scale_socket_identity(seed):
 
 
 class ScriptedWorker:
-    """A fake worker that speaks valid BUILD, then fails SURVEY on cue.
+    """A fake worker that speaks valid BUILD and PING, then fails SURVEY.
 
     ``failure(connection)`` runs instead of a RESULT reply — crash the
     connection, send garbage, stall — so the coordinator's error paths
-    can be pinned down without real engines.
+    can be pinned down without real engines.  The PING is the startup
+    heartbeat every coordinator sends after BUILD.
     """
 
     def __init__(self, failure):
@@ -360,6 +363,9 @@ class ScriptedWorker:
         try:
             frame_type, _payload = recv_frame(connection, timeout=10.0)
             assert frame_type == FRAME_BUILD
+            send_frame(connection, FRAME_OK)
+            frame_type, _payload = recv_frame(connection, timeout=10.0)
+            assert frame_type == FRAME_PING
             send_frame(connection, FRAME_OK)
             frame_type, _payload = recv_frame(connection, timeout=10.0)
             assert frame_type == FRAME_SURVEY
@@ -456,6 +462,66 @@ def test_coordinator_reports_connect_refusal(small_internet):
                          connect_timeout=2.0)
 
 
+def _dead_address():
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    address = "127.0.0.1:%d" % probe.getsockname()[1]
+    probe.close()
+    return address
+
+
+def test_strict_run_aborts_on_first_failure_despite_survivor(small_internet):
+    """retries=0 with a live survivor: the closing worker's own error
+    aborts the run; nobody is declared dead and nothing is reassigned."""
+    engine = SurveyEngine(small_internet, config=EngineConfig())
+    release = threading.Event()
+    closer = ScriptedWorker(lambda connection: connection.close())
+    survivor = ScriptedWorker(lambda connection: release.wait(timeout=10.0))
+    coordinator = ShardCoordinator(engine, [closer.address,
+                                            survivor.address],
+                                   min_workers=1)
+    entries = engine._select_entries(None, 12)
+    aggregator = SurveyAggregator(total=len(entries))
+    try:
+        with pytest.raises(DistribError,
+                           match=rf"worker {closer.address}: connection "
+                                 rf"closed mid-frame header"):
+            coordinator.run_shards(list(enumerate(entries)), set(),
+                                   aggregator)
+    finally:
+        release.set()
+        coordinator._abort()
+    assert not coordinator.fault_report.any()
+    assert coordinator.fault_report.reassignments == 0
+    assert aggregator.completed == 0
+    closer.join()
+    survivor.join()
+
+
+def test_undecodable_result_names_the_serving_worker(small_internet):
+    """After a reassignment the survivor serves the dead worker's shard;
+    a decode error must name the survivor, not the shard's first owner."""
+    engine = SurveyEngine(small_internet, config=EngineConfig())
+
+    def junk_results(connection):
+        # Valid frames (CRC and all) whose payload is not a shard.
+        send_frame(connection, FRAME_RESULT, b"not a shard container")
+        assert recv_frame(connection, timeout=10.0)[0] == FRAME_SURVEY
+        send_frame(connection, FRAME_RESULT, b"not a shard container")
+
+    dead = _dead_address()
+    survivor = ScriptedWorker(junk_results)
+    with pytest.raises(DistribError) as caught:
+        _run_one_shard(engine, [dead, survivor.address], connect_timeout=2.0,
+                       retry_policy=RetryPolicy(retries=1,
+                                                backoff_base=0.01))
+    message = str(caught.value)
+    assert message.startswith(f"worker {survivor.address} returned an "
+                              f"undecodable shard")
+    assert dead not in message
+    survivor.join()
+
+
 def test_coordinator_requires_worker_addresses(small_internet):
     with pytest.raises(ValueError, match="worker_addrs"):
         EngineConfig(backend="socket").validate()
@@ -482,21 +548,30 @@ TINY = ["--sld-count", "60", "--directory-names", "90",
         "--universities", "12", "--seed", "4242"]
 
 
-def _write_shards(tmp_path, count, capsys):
+def _write_shards(tmp_path, count, capsys, passes=()):
     paths = []
     for index in range(count):
         path = tmp_path / f"shard{index}.rsnap"
-        assert main(["survey", *TINY, "--shard", f"{index}/{count}",
+        assert main(["survey", *TINY, *passes, "--shard", f"{index}/{count}",
                      "--output", str(path)]) == 0
         paths.append(path)
     capsys.readouterr()
     return paths
 
 
-def test_merge_matches_serial_snapshot(tmp_path, capsys):
+#: Metadata keys that record how a run was executed, not what it found.
+PROVENANCE = ("backend", "workers", "shards", "merged_from")
+
+
+@pytest.mark.parametrize("passes", [
+    (), ("--passes", "value,dnssec"),
+    ("--passes", "availability,dnssec,value")],
+    ids=["no-passes", "value-dnssec", "availability-dnssec-value"])
+def test_merge_matches_serial_snapshot(tmp_path, capsys, passes):
     serial_path = tmp_path / "serial.rsnap"
-    assert main(["survey", *TINY, "--output", str(serial_path)]) == 0
-    shard_paths = _write_shards(tmp_path, 3, capsys)
+    assert main(["survey", *TINY, *passes,
+                 "--output", str(serial_path)]) == 0
+    shard_paths = _write_shards(tmp_path, 3, capsys, passes)
 
     merged_path = tmp_path / "merged.rsnap"
     report = merge_shard_snapshots(shard_paths, merged_path)
@@ -506,12 +581,33 @@ def test_merge_matches_serial_snapshot(tmp_path, capsys):
     serial = results_to_dict(load_results(serial_path))
     merged = results_to_dict(load_results(merged_path))
     assert report.names == len(serial["records"])
-    metadata = merged.pop("metadata")
-    serial.pop("metadata")
+    assert merged["metadata"]["backend"] == "merged"
+    assert merged["metadata"]["workers"] == 3
+    assert merged["metadata"]["shards"] == 3
+    assert merged["metadata"]["merged_from"] == \
+        [path.name for path in shard_paths]
+    for payload in (serial, merged):
+        for key in PROVENANCE:
+            payload["metadata"].pop(key, None)
+    # Everything else — records, aggregates, and the pass metadata
+    # (value ranking, dnssec fraction) — equals the serial survey's, so
+    # the report prints the same tables.
     assert merged == serial
-    assert metadata["backend"] == "merged"
-    assert metadata["shards"] == 3
-    assert metadata["merged_from"] == [path.name for path in shard_paths]
+    reports = []
+    for path in (serial_path, merged_path):
+        assert main(["report", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[1] == reports[0]
+
+
+def test_merge_rejects_shards_of_different_surveys(tmp_path, capsys):
+    plain = _write_shards(tmp_path, 2, capsys)
+    (tmp_path / "valued").mkdir()
+    valued = _write_shards(tmp_path / "valued", 2, capsys,
+                           ("--passes", "value"))
+    with pytest.raises(DistribError, match="from different surveys"):
+        merge_shard_snapshots([plain[0], valued[1]],
+                              tmp_path / "merged.rsnap")
 
 
 def test_merge_rejects_overlapping_shards(tmp_path, capsys):

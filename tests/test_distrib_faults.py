@@ -12,7 +12,7 @@ Exercises the robustness layer end to end:
   reconnect-and-rebuild or shard reassignment with the merged results
   **byte-identical to the serial backend**, cold and delta, and the
   :class:`FaultReport` counters matching the injected plan;
-* the satellites — silent-broadcast misalignment guard, fleet startup
+* the satellites — silent-shard misalignment guard, fleet startup
   timeout with captured stderr, and the per-worker shutdown report.
 """
 
@@ -307,7 +307,7 @@ def test_worker_discards_state_on_poisoned_replay():
     thread.join(timeout=5)
 
 
-# -- satellites: silent broadcast, fleet startup, shutdown report -------------------------
+# -- satellites: silent shard, fleet startup, shutdown report -----------------------------
 
 
 class _OkWorker:
@@ -339,15 +339,16 @@ class _OkWorker:
 
 
 def test_broadcast_raises_on_silent_worker(tiny_world):
-    """A missing reply without an exception must abort, never compact
-    the reply list (which would fold shard k at position j)."""
+    """A shard that yields neither a result nor an exception must abort
+    the scheduler, never compact the result list (which would fold shard
+    k at position j)."""
     worker = _OkWorker()
     engine = SurveyEngine(tiny_world, config=EngineConfig(popular_count=10))
     coordinator = ShardCoordinator(engine, [worker.address])
-    coordinator._request = lambda *args, **kwargs: None
+    coordinator._run_order = lambda *args, **kwargs: None
     with pytest.raises(DistribError,
-                       match="neither a reply nor an error"):
-        coordinator._broadcast(FRAME_SURVEY, [b""], FRAME_OK)
+                       match="neither a result nor an error"):
+        coordinator._run_orders([b""])
     assert coordinator._closed
     worker.join()
 
