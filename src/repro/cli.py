@@ -873,9 +873,7 @@ def _command_resurvey(args: argparse.Namespace) -> int:
     # Replayed mutations rebuilt world state the previous snapshot already
     # reflects; only the new events determine what is dirty (DNSSEC
     # deployment adoption always sees the whole chain — see
-    # ChangeJournal.changes).  The journal itself goes to run_delta (with
-    # `since`) rather than a pre-folded ChangeSet: the socket backend
-    # ships journal events to its workers as mutation specs.
+    # ChangeJournal.changes), so run_delta folds the journal from `since`.
     progress = ProgressPrinter() if args.progress else None
     try:
         outcome = engine.run_delta(previous, journal, since=prior_events,
@@ -961,9 +959,19 @@ def print_timeline(timeline, movers: int = 5) -> None:
 
 
 def _command_churn(args: argparse.Namespace) -> int:
-    import signal as signal_module
+    import contextlib
 
     from repro.core import atomic
+
+    # Scoped, not process-wide: main() also runs in-process (tests,
+    # embedding callers) and must leave their fsync setting as it was.
+    with atomic.no_fsync() if args.no_fsync else contextlib.nullcontext():
+        return _run_churn(args)
+
+
+def _run_churn(args: argparse.Namespace) -> int:
+    import signal as signal_module
+
     from repro.core.timeline import (dnssec_spec_options, run_churn_timeline,
                                      save_timeline)
     from repro.topology.churn import ChurnModel, ChurnRates
@@ -972,8 +980,6 @@ def _command_churn(args: argparse.Namespace) -> int:
         print("error: --resume requires --store (the epoch store holds the "
               "committed epochs to resume from)", file=sys.stderr)
         return 2
-    if args.no_fsync:
-        atomic.set_fsync(False)
 
     rates = ChurnRates.parse(args.rates)
     config = _config_from_args(args)

@@ -58,6 +58,7 @@ import multiprocessing
 import threading
 import time
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -85,6 +86,11 @@ from repro.core.tcb import compute_tcb_report
 from repro.vulns.database import VulnerabilityDatabase, default_database
 from repro.vulns.fingerprint import Fingerprinter, FingerprintResult
 from repro.topology.webdirectory import DirectoryEntry
+
+# topology.changes imports core at module load, so the runtime import of
+# ChangeJournal (run_delta's input check) is call-time-lazy.
+if TYPE_CHECKING:
+    from repro.topology.changes import ChangeJournal
 
 #: Execution backends understood by the engine.
 BACKENDS: Tuple[str, ...] = ("serial", "process", "socket")
@@ -278,6 +284,20 @@ class ShardOutputs(NamedTuple):
     fingerprints: Dict[DomainName, FingerprintResult]
     vulnerability_map: Dict[DomainName, bool]
     compromisable_map: Dict[DomainName, bool]
+
+
+class DeltaPlan(NamedTuple):
+    """What :meth:`SurveyEngine._plan_delta` decided for one journal.
+
+    ``dirty`` is the epoch's complete dirty-name set, ``dirty_indexed``
+    the entries to re-survey and ``clean_records`` the records to patch
+    from the previous results, both keyed by directory position.
+    """
+
+    dirty: Set[DomainName]
+    dirty_indexed: List[Tuple[int, DirectoryEntry]]
+    clean_records: List[Tuple[int, NameRecord]]
+    stats: DeltaStats
 
 
 class SurveyAggregator:
@@ -583,7 +603,7 @@ class SurveyEngine:
 
     # -- incremental re-survey ------------------------------------------------------------
 
-    def run_delta(self, previous: SurveyResults, journal,
+    def run_delta(self, previous: SurveyResults, journal: ChangeJournal,
                   names: Optional[Iterable[NameLike]] = None,
                   max_names: Optional[int] = None,
                   progress: Optional[ProgressCallback] = None,
@@ -593,14 +613,17 @@ class SurveyEngine:
         ``previous`` is the last full (or delta) result set over this
         engine's Internet — fresh from :meth:`run` or loaded from a JSON
         snapshot; ``journal`` is the :class:`~repro.topology.changes.ChangeJournal`
-        whose mutations were applied since (a pre-folded ``ChangeSet`` is
-        accepted too).  The journal's footprint is mapped to dirty names
-        through the previous TCBs (:class:`~repro.core.delta.DirtyIndex`),
-        only those are re-surveyed — on the configured backend, with the
-        primary context's closures, splits, chains, and resolver walk
-        state surgically invalidated and otherwise carried — and every
-        clean record is patched straight from ``previous``.  Pass
-        ``finalize`` reduces re-run over the merged aggregate, so
+        whose mutations were applied since (its events from index
+        ``since`` on).  Only the journal itself is accepted, on every
+        backend: the socket backend ships its events to the workers as
+        mutation specs, so a pre-folded ``ChangeSet`` raises ``TypeError``.
+        :meth:`_plan_delta` maps the journal's footprint to dirty names
+        through the previous TCBs and brings the engine's warm state up to
+        date; only the dirty names are re-surveyed — on the configured
+        backend, with the primary context's closures, splits, chains, and
+        resolver walk state surgically invalidated and otherwise carried —
+        and every clean record is patched straight from ``previous``.
+        Pass ``finalize`` reduces re-run over the merged aggregate, so
         cross-record metadata (value ranking, dnssec fraction) stays
         exact.
 
@@ -610,14 +633,72 @@ class SurveyEngine:
         therefore lives in the returned :class:`DeltaStats`, never in the
         results metadata.
         """
+        from repro.topology.changes import ChangeJournal
+
+        if not isinstance(journal, ChangeJournal):
+            raise TypeError(
+                f"run_delta needs the ChangeJournal itself, got "
+                f"{type(journal).__name__} (the socket backend ships the "
+                f"journal's events to its workers as mutation specs)")
         started = time.perf_counter()
-        changes = journal.changes(since=since) \
-            if hasattr(journal, "changes") else journal
+        plan = self._plan_delta(previous, journal, names, max_names, since)
+
+        popular = {entry.name for entry in
+                   self.internet.directory.alexa_top(self.config.popular_count)}
+        aggregator = SurveyAggregator(total=plan.stats.total_names,
+                                      progress=progress)
+        # Previous-world server maps go in first; shard merges from the
+        # re-survey overlay fresher verdicts (dict update, last wins).
+        aggregator.merge_maps(
+            dict(previous.fingerprints),
+            {host: host in previous.vulnerable_servers
+             for host in previous.fingerprints},
+            {host: host in previous.compromisable_servers
+             for host in previous.fingerprints})
+        for position, record in plan.clean_records:
+            aggregator.add_record(position, record)
+
+        if plan.dirty_indexed:
+            # Work orders must carry the epoch's *complete* dirty set: a
+            # worker invalidates warm state for every dirty name, not just
+            # the ones striped onto it this epoch.
+            self._dispatch_dirty = plan.dirty
+            try:
+                self._dispatch(plan.dirty_indexed, popular, aggregator)
+            finally:
+                self._dispatch_dirty = set()
+
+        # A cold run fingerprints exactly the TCB members of its records;
+        # prune carried entries for hosts nothing depends on any more.
+        aggregator.restrict_hosts(aggregator.tcb_host_union())
+
+        results = aggregator.results(
+            popular, self._final_metadata(plan.stats.total_names, aggregator))
+        plan.stats.elapsed_s = time.perf_counter() - started
+        return DeltaOutcome(results=results, stats=plan.stats,
+                            dirty=frozenset(plan.dirty))
+
+    def _plan_delta(self, previous: SurveyResults, journal: ChangeJournal,
+                    names: Optional[Iterable[NameLike]] = None,
+                    max_names: Optional[int] = None,
+                    since: int = 0) -> DeltaPlan:
+        """Advance the engine past ``journal`` without surveying anything.
+
+        The planning half of :meth:`run_delta`: select the entries, extend
+        the socket coordinator's spec history, map the journal's footprint
+        to dirty names (:class:`~repro.core.delta.DirtyIndex`), split the
+        entries into dirty ones and clean ones patchable from
+        ``previous``, and :meth:`_apply_changes`.  ``churn --resume``
+        replays committed epochs through this step alone, so the replayed
+        warm state and :class:`DeltaStats` row equal the interrupted
+        run's.  ``stats.elapsed_s`` times just this step.
+        """
+        started = time.perf_counter()
+        changes = journal.changes(since=since)
         entries = self._select_entries(names, max_names)
         if self.config.backend == "socket":
-            # Workers replay the journal as mutation specs; the
-            # coordinator needs the journal itself (sync_journal raises a
-            # precise error on a pre-folded ChangeSet).
+            # Workers replay the journal as mutation specs; a (re)built
+            # worker receives every mutation since epoch 0.
             self._ensure_coordinator().sync_journal(journal)
 
         dirty = set(DirtyIndex(previous).dirty_names(changes))
@@ -637,49 +718,17 @@ class SurveyEngine:
                 clean_records.append((position, previous_record))
 
         self._apply_changes(changes, dirty)
-
-        popular = {entry.name for entry in
-                   self.internet.directory.alexa_top(self.config.popular_count)}
-        aggregator = SurveyAggregator(total=len(entries), progress=progress)
-        # Previous-world server maps go in first; shard merges from the
-        # re-survey overlay fresher verdicts (dict update, last wins).
-        aggregator.merge_maps(
-            dict(previous.fingerprints),
-            {host: host in previous.vulnerable_servers
-             for host in previous.fingerprints},
-            {host: host in previous.compromisable_servers
-             for host in previous.fingerprints})
-        for position, record in clean_records:
-            aggregator.add_record(position, record)
-
-        if dirty_indexed:
-            # Work orders must carry the epoch's *complete* dirty set: a
-            # worker invalidates warm state for every dirty name, not just
-            # the ones striped onto it this epoch.
-            self._dispatch_dirty = dirty
-            try:
-                self._dispatch(dirty_indexed, popular, aggregator)
-            finally:
-                self._dispatch_dirty = set()
-
-        # A cold run fingerprints exactly the TCB members of its records;
-        # prune carried entries for hosts nothing depends on any more.
-        aggregator.restrict_hosts(aggregator.tcb_host_union())
-
-        results = aggregator.results(
-            popular, self._final_metadata(len(entries), aggregator))
         stats = DeltaStats(
             total_names=len(entries), dirty_names=len(dirty_indexed),
-            patched_names=len(clean_records), events=len(journal)
-            if hasattr(journal, "__len__") else 0,
+            patched_names=len(clean_records), events=len(journal),
             edited_zones=len(changes.edited_zones),
             created_zones=len(changes.created_zones),
             touched_hosts=len(changes.touched_hosts),
             dirty_fraction=(len(dirty_indexed) / len(entries))
             if entries else 0.0,
             elapsed_s=time.perf_counter() - started)
-        return DeltaOutcome(results=results, stats=stats,
-                            dirty=frozenset(dirty))
+        return DeltaPlan(dirty=dirty, dirty_indexed=dirty_indexed,
+                         clean_records=clean_records, stats=stats)
 
     def _apply_changes(self, changes, dirty: Set[DomainName]) -> None:
         """Bring the engine up to date with a journalled world change.

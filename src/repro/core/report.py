@@ -111,7 +111,10 @@ def _percentile(ordered: Sequence[float], percentile: float) -> float:
     if lower == upper:
         return ordered[lower]
     weight = rank - lower
-    return ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+    # Clamp to the bracketing pair: with denormals each weighted term can
+    # round to zero, which would put the percentile below the smallest element.
+    value = ordered[lower] * (1.0 - weight) + ordered[upper] * weight
+    return min(max(value, ordered[lower]), ordered[upper])
 
 
 def delta_stats(before: Sequence[float],

@@ -45,7 +45,7 @@ one shared frozenset, at the API boundary only.
 Byte-identity contract: ``results_to_dict(open_results(save(results)))``
 equals ``results_to_dict(results)`` — the binary round trip is
 indistinguishable from the JSON one (floats are stored at the same 3-dp
-rounding the JSON codec applies), across all four execution backends.
+rounding the JSON codec applies), across all three execution backends.
 """
 
 from __future__ import annotations

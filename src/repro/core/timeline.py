@@ -7,7 +7,13 @@ boxes die, deployment creeps.  This module runs that movie.  Each epoch a
 :class:`~repro.topology.changes.ChangeJournal`, the engine re-surveys just
 the invalidated names (:meth:`~repro.core.engine.SurveyEngine.run_delta`),
 and the results are reduced into a :class:`TimelineSnapshot` — the
-machine-readable per-epoch row a longitudinal analysis consumes.
+machine-readable per-epoch row a longitudinal analysis consumes.  Every
+epoch's row takes its counts and its ``delta_elapsed_s`` from one
+:class:`~repro.core.delta.DeltaStats`; epoch 0's describes the cold
+baseline (every name dirty).  A resumed run (``resume=True``) goes
+through the same loop, advancing the engine past each committed epoch
+with its delta planning step and reading that epoch's results off the
+store instead of re-surveying.
 
 Invariants a :class:`Timeline` promises (and :meth:`Timeline.validate`
 enforces on load, so a corrupted or hand-edited ``timeline.json`` fails
@@ -35,7 +41,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple, Union)
 
 from repro.core.atomic import atomic_write_text
-from repro.core.delta import DeltaStats, DirtyIndex
+from repro.core.delta import DeltaStats
 from repro.core.engine import EngineConfig, SurveyEngine
 from repro.core.export import _is_zlib_header
 from repro.core.passes import build_passes
@@ -48,7 +54,7 @@ from repro.core.survey import SurveyResults
 # exclusion-suffix constant), so the loop back into topology must stay
 # call-time-lazy here or package initialisation becomes order-dependent.
 # ``ChurnModel`` is annotation-only (PEP 563 strings via the __future__
-# import above); ``ChangeJournal`` is imported inside the epoch loop.
+# import above); ``ChangeJournal`` is imported inside the runner.
 if TYPE_CHECKING:
     from repro.topology.churn import ChurnModel
 
@@ -75,7 +81,8 @@ class TimelineSnapshot:
     #: Journalled events this epoch, total and per event kind.
     events: int
     event_kinds: Dict[str, int]
-    #: Delta bookkeeping (epoch 0: dirty == total, patched == 0).
+    #: Delta bookkeeping (epoch 0: dirty == total, patched == 0), and
+    #: the epoch's ``DeltaStats.elapsed_s``.
     total_names: int
     dirty_names: int
     patched_names: int
@@ -347,8 +354,7 @@ def _normalise_pass_specs(passes: Union[str, Sequence[str], None]
 
 def _reduce_epoch(epoch: int, results: SurveyResults,
                   previous: Optional[SurveyResults],
-                  events: Sequence, stats,
-                  elapsed_s: float,
+                  events: Sequence, stats: DeltaStats,
                   dnssec_fraction: float) -> TimelineSnapshot:
     """Fold one epoch's results (and drift vs ``previous``) into a row."""
     sizes = [float(size) for size in results.tcb_sizes()]
@@ -390,7 +396,7 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
         dirty_names=stats.dirty_names,
         patched_names=stats.patched_names,
         dirty_fraction=stats.dirty_fraction,
-        delta_elapsed_s=round(elapsed_s, 6),
+        delta_elapsed_s=round(stats.elapsed_s, 6),
         names_resolved=len(results.resolved_records()),
         hijackable_fraction=results.fraction_completely_hijackable(),
         mean_tcb=size_stats["mean"],
@@ -407,16 +413,6 @@ def _reduce_epoch(epoch: int, results: SurveyResults,
         removed_names=removed,
         tcb_mean_abs_delta=tcb_drift,
         top_movers=movers)
-
-
-@dataclasses.dataclass
-class _BaselineStats:
-    """Delta-shaped bookkeeping for the cold epoch-0 survey."""
-
-    total_names: int
-    dirty_names: int
-    patched_names: int = 0
-    dirty_fraction: float = 1.0
 
 
 def run_churn_timeline(internet, model: ChurnModel, epochs: int,
@@ -468,13 +464,16 @@ def run_churn_timeline(internet, model: ChurnModel, epochs: int,
     after each epoch is reduced.
 
     ``resume=True`` continues an interrupted run from a non-empty
-    ``store``: the committed epochs are *replayed* — ``model.advance``
-    re-derives the world and the engine's warm state epoch by epoch (the
-    churn model is seeded, so the event sequence reproduces exactly),
-    while the results come straight off the store's durable epochs with
-    no re-survey — and the loop then continues from the first
-    uncommitted epoch.  The finished timeline is deterministic: its
-    :func:`timeline_fingerprint` equals an uninterrupted run's.
+    ``store``.  It is the same loop: epoch 0 is the store's durable
+    baseline (checked against this run's configuration) instead of a cold
+    survey, and every committed epoch runs ``model.advance`` (seeded, so
+    the event sequence reproduces exactly) and then only the engine's
+    delta planning step — the dirty-set bookkeeping and warm-state
+    invalidation of :meth:`~repro.core.engine.SurveyEngine.run_delta`,
+    without its re-survey — while the results come off the store.  The
+    first uncommitted epoch runs ``run_delta`` as usual.  The finished
+    timeline is deterministic: its :func:`timeline_fingerprint` equals an
+    uninterrupted run's.
     ``internet`` and ``model`` must be freshly built with the run's
     original seeds and configuration.
 
@@ -517,15 +516,85 @@ def run_churn_timeline(internet, model: ChurnModel, epochs: int,
     # together, so the coordinator's frozen BUILD frame and the replayed
     # spec history match what the interrupted run's workers saw.
     engine = SurveyEngine(internet, config=engine_config(pass_specs))
-
+    committed = epoch_store.epochs if resume else 0
+    snapshots: List[TimelineSnapshot] = []
+    results: Optional[SurveyResults] = None
+    interrupted: Optional[int] = None
     try:
-        return _run_epoch_loop(internet, model, epochs, engine,
-                               engine_config, pass_specs, backend, workers,
-                               include_bottleneck, popular_count, max_names,
-                               cold_check, epoch_store, keyframe_every,
-                               worker_addrs, progress, resume, should_stop)
+        for epoch in range(epochs + 1):
+            replayed = epoch < committed
+            if epoch and not replayed and should_stop is not None \
+                    and should_stop():
+                # The previous epoch's commit is complete and durable;
+                # stop here and mark the timeline resumable at it.
+                interrupted = epoch - 1
+                break
+            previous, events, dirty = results, (), None
+            if epoch == 0:
+                started = time.perf_counter()
+                if replayed:
+                    results = epoch_store.load_epoch(0)
+                    _check_resume_compatibility(engine, results, max_names)
+                else:
+                    results = engine.run(max_names=max_names)
+                total = len(results.records)
+                stats = DeltaStats(
+                    total_names=total, dirty_names=total, patched_names=0,
+                    events=0, edited_zones=0, created_zones=0,
+                    touched_hosts=0, dirty_fraction=1.0,
+                    elapsed_s=time.perf_counter() - started)
+            else:
+                journal = ChangeJournal(internet)
+                events = model.advance(journal)
+                if replayed:
+                    # Advance the engine's warm state exactly as the
+                    # interrupted run did, but survey nothing: the
+                    # results are the store's durable epoch.
+                    stats = engine._plan_delta(previous, journal,
+                                               max_names=max_names).stats
+                    results = epoch_store.load_epoch(epoch)
+                else:
+                    outcome = engine.run_delta(previous, journal,
+                                               max_names=max_names)
+                    results, stats, dirty = (outcome.results, outcome.stats,
+                                             outcome.dirty)
+            snapshot = _reduce_epoch(epoch, results, previous, events, stats,
+                                     model.dnssec_fraction)
+            if cold_check and epoch:
+                _cold_audit(snapshot, results, internet, engine_config,
+                            pass_specs, backend, model, max_names)
+            if epoch_store is not None and not replayed:
+                # The dirty set bounds the changed-row scan: clean rows
+                # are unchanged by the delta contract and never compared.
+                epoch_store.append(results, previous=previous, dirty=dirty)
+            snapshots.append(snapshot)
+            if progress is not None:
+                progress(epoch, snapshot)
     finally:
         engine.close()
+
+    timeline = Timeline(
+        config={
+            "epochs": epochs,
+            "backend": backend,
+            "workers": workers,
+            "include_bottleneck": include_bottleneck,
+            "passes": list(pass_specs),
+            "popular_count": popular_count,
+            "max_names": max_names,
+            "churn_seed": model.seed,
+            "rates": model.rates.to_dict(),
+            "cold_check": cold_check,
+            "store": (str(epoch_store.root)
+                      if epoch_store is not None else None),
+            "keyframe_every": keyframe_every,
+            "worker_addrs": list(worker_addrs),
+        },
+        snapshots=snapshots)
+    if interrupted is not None:
+        timeline.config["interrupted_at_epoch"] = interrupted
+    timeline.validate()
+    return timeline
 
 
 def _check_resumable_store(epoch_store: EpochStore, epochs: int) -> None:
@@ -562,9 +631,19 @@ def _cold_audit(snapshot: TimelineSnapshot, results, internet,
     cold_started = time.perf_counter()
     cold = cold_engine.run(max_names=max_names)
     snapshot.cold_elapsed_s = round(time.perf_counter() - cold_started, 6)
-    snapshot.cold_identical = (
-        json.dumps(results_to_dict(results), sort_keys=True)
-        == json.dumps(results_to_dict(cold), sort_keys=True))
+    snapshot.cold_identical = _audit_form(results) == _audit_form(cold)
+
+
+def _audit_form(results: SurveyResults) -> str:
+    """Canonical JSON of ``results`` minus the keys naming the backend.
+
+    A socket run is audited against a serial reference, whose metadata
+    differs exactly in ``backend``/``workers``/``shards``.
+    """
+    payload = results_to_dict(results)
+    for key in ("backend", "workers", "shards"):
+        payload["metadata"].pop(key, None)
+    return json.dumps(payload, sort_keys=True)
 
 
 def _check_resume_compatibility(engine, baseline_results,
@@ -586,155 +665,3 @@ def _check_resume_compatibility(engine, baseline_results,
             raise ValueError(
                 f"cannot resume: the store was written with "
                 f"{key}={metadata.get(key)!r}, this run has {key}={value!r}")
-
-
-def _replay_committed_epochs(internet, model, engine, engine_config,
-                             pass_specs, backend, max_names, cold_check,
-                             epoch_store, progress):
-    """Re-derive world + engine state for a store's committed epochs.
-
-    No name is re-surveyed: ``model.advance`` replays the seeded event
-    sequence (mutating the world and the engine's warm context exactly
-    as the interrupted run did), and every epoch's results are opened
-    lazily from the store.  Returns the rebuilt snapshot rows and the
-    last durable epoch's results — the delta baseline the continuing
-    loop picks up from.
-    """
-    from repro.topology.changes import ChangeJournal
-
-    committed = epoch_store.epochs
-    replay_started = time.perf_counter()
-    results = epoch_store.load_epoch(0)
-    _check_resume_compatibility(engine, results, max_names)
-    baseline = _reduce_epoch(
-        0, results, None, events=(),
-        stats=_BaselineStats(total_names=len(results.records),
-                             dirty_names=len(results.records)),
-        elapsed_s=time.perf_counter() - replay_started,
-        dnssec_fraction=model.dnssec_fraction)
-    snapshots = [baseline]
-    if progress is not None:
-        progress(0, baseline)
-
-    for epoch in range(1, committed):
-        epoch_started = time.perf_counter()
-        journal = ChangeJournal(internet)
-        events = model.advance(journal)
-        changes = journal.changes()
-        if backend == "socket":
-            # The coordinator's spec history must replay completely: a
-            # (re)built worker receives every mutation since epoch 0.
-            engine._ensure_coordinator().sync_journal(journal)
-        previous = results
-        entries = engine._select_entries(None, max_names)
-        # Mirror run_delta's dirty bookkeeping so the replayed stats row
-        # equals the one the interrupted run reduced.
-        dirty = set(DirtyIndex(previous).dirty_names(changes))
-        dirty_count = clean_count = 0
-        for entry in entries:
-            if entry.name not in dirty and \
-                    previous.record_for(entry.name) is not None:
-                clean_count += 1
-            else:
-                dirty.add(entry.name)
-                dirty_count += 1
-        engine._apply_changes(changes, dirty)
-        results = epoch_store.load_epoch(epoch)
-        elapsed = time.perf_counter() - epoch_started
-        stats = DeltaStats(
-            total_names=len(entries), dirty_names=dirty_count,
-            patched_names=clean_count,
-            events=len(journal) if hasattr(journal, "__len__") else 0,
-            edited_zones=len(changes.edited_zones),
-            created_zones=len(changes.created_zones),
-            touched_hosts=len(changes.touched_hosts),
-            dirty_fraction=(dirty_count / len(entries)) if entries else 0.0,
-            elapsed_s=elapsed)
-        snapshot = _reduce_epoch(epoch, results, previous, events, stats,
-                                 elapsed, model.dnssec_fraction)
-        if cold_check:
-            _cold_audit(snapshot, results, internet, engine_config,
-                        pass_specs, backend, model, max_names)
-        snapshots.append(snapshot)
-        if progress is not None:
-            progress(epoch, snapshot)
-    return snapshots, results
-
-
-def _run_epoch_loop(internet, model, epochs, engine, engine_config,
-                    pass_specs, backend, workers, include_bottleneck,
-                    popular_count, max_names, cold_check, epoch_store,
-                    keyframe_every, worker_addrs, progress, resume,
-                    should_stop) -> Timeline:
-    from repro.topology.changes import ChangeJournal
-
-    if resume:
-        snapshots, results = _replay_committed_epochs(
-            internet, model, engine, engine_config, pass_specs, backend,
-            max_names, cold_check, epoch_store, progress)
-    else:
-        started = time.perf_counter()
-        results = engine.run(max_names=max_names)
-        baseline_elapsed = time.perf_counter() - started
-        baseline = _reduce_epoch(
-            0, results, None, events=(),
-            stats=_BaselineStats(total_names=len(results.records),
-                                 dirty_names=len(results.records)),
-            elapsed_s=baseline_elapsed,
-            dnssec_fraction=model.dnssec_fraction)
-        snapshots = [baseline]
-        if epoch_store is not None:
-            epoch_store.append(results)
-        if progress is not None:
-            progress(0, baseline)
-
-    interrupted: Optional[int] = None
-    for epoch in range(len(snapshots), epochs + 1):
-        if should_stop is not None and should_stop():
-            # The previous epoch's commit is complete and durable; stop
-            # here and mark the timeline resumable at it.
-            interrupted = epoch - 1
-            break
-        journal = ChangeJournal(internet)
-        events = model.advance(journal)
-        epoch_started = time.perf_counter()
-        outcome = engine.run_delta(results, journal, max_names=max_names)
-        elapsed = time.perf_counter() - epoch_started
-        snapshot = _reduce_epoch(epoch, outcome.results, results, events,
-                                 outcome.stats, elapsed,
-                                 model.dnssec_fraction)
-        if cold_check:
-            _cold_audit(snapshot, outcome.results, internet, engine_config,
-                        pass_specs, backend, model, max_names)
-        if epoch_store is not None:
-            # The dirty set bounds the changed-row scan: clean rows are
-            # unchanged by the delta contract and are never compared.
-            epoch_store.append(outcome.results, previous=results,
-                               dirty=outcome.dirty)
-        results = outcome.results
-        snapshots.append(snapshot)
-        if progress is not None:
-            progress(epoch, snapshot)
-
-    timeline = Timeline(
-        config={
-            "epochs": epochs,
-            "backend": backend,
-            "workers": workers,
-            "include_bottleneck": include_bottleneck,
-            "passes": list(pass_specs),
-            "popular_count": popular_count,
-            "max_names": max_names,
-            "churn_seed": model.seed,
-            "rates": model.rates.to_dict(),
-            "cold_check": cold_check,
-            "store": (str(epoch_store.root)
-                      if epoch_store is not None else None),
-            "keyframe_every": keyframe_every,
-            "worker_addrs": list(worker_addrs),
-        },
-        snapshots=snapshots)
-    if interrupted is not None:
-        timeline.config["interrupted_at_epoch"] = interrupted
-    timeline.validate()
-    return timeline

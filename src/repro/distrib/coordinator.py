@@ -421,12 +421,7 @@ class ShardCoordinator:
 
     def sync_journal(self, journal) -> None:
         """Extend the spec history with a journal's unseen events."""
-        events = getattr(journal, "events", None)
-        if events is None:
-            raise DistribError(
-                "the socket backend needs the ChangeJournal itself (its "
-                "events become wire specs); a pre-folded ChangeSet cannot "
-                "be shipped to workers")
+        events = journal.events
         for position, (seen, consumed) in enumerate(self._journals):
             if seen is journal:
                 fresh = events[consumed:]

@@ -357,6 +357,19 @@ def test_ghost_nameserver_coming_online_is_dirty(tmp_path):
     assert ghost in outcome.results.vulnerable_servers
 
 
+def test_run_delta_rejects_prefolded_changeset():
+    """run_delta takes only the journal, on every backend (the socket
+    backend ships its events to workers); the check fires before any
+    engine state moves."""
+    internet = _make_internet(31337)
+    engine = SurveyEngine(internet, config=EngineConfig())
+    prev = engine.run(max_names=20)
+    journal = ChangeJournal(internet)
+    with pytest.raises(TypeError, match="needs the ChangeJournal itself, "
+                                        "got ChangeSet"):
+        engine.run_delta(prev, journal.changes(), max_names=20)
+
+
 def test_empty_journal_patches_everything(delta_world):
     """No mutations -> zero dirty names, results equal the previous run
     (which equals the *pre-mutation* world only; here the world already

@@ -19,6 +19,7 @@ from repro.core.timeline import (
     load_timeline,
     run_churn_timeline,
     save_timeline,
+    timeline_fingerprint,
     _with_dnssec_fraction,
 )
 from repro.topology.churn import ChurnModel, ChurnRates
@@ -272,6 +273,87 @@ def test_run_refuses_a_non_empty_store(tmp_path):
     assert EpochStore(store_dir).epochs == 1
     with pytest.raises(ValueError, match="not empty"):
         run_churn_timeline(world, _model(world), epochs=0, store=store_dir)
+
+
+# -- resume ----------------------------------------------------------------------------
+
+#: Epochs the interrupted store keeps (0 and 1): epoch 1 is replayed, the
+#: epochs after it are re-surveyed.
+COMMITTED = 2
+
+
+@pytest.fixture(scope="module")
+def resume_reference(tmp_path_factory):
+    """An uninterrupted cold-audited run and the store it wrote."""
+    from repro.core.atomic import no_fsync
+
+    store_dir = tmp_path_factory.mktemp("resume_reference") / "epochs"
+    world = _world(SEEDS[0])
+    with no_fsync():
+        timeline = run_churn_timeline(world, _model(world), epochs=EPOCHS,
+                                      passes=PASSES, popular_count=15,
+                                      cold_check=True, store=store_dir)
+    return {"timeline": timeline, "store": store_dir}
+
+
+def _resume(reference, tmp_path, cold_check):
+    """Resume from a copy of the reference store cut to its first epochs."""
+    import shutil
+
+    from repro.core.atomic import no_fsync
+
+    store_dir = tmp_path / "epochs"
+    shutil.copytree(reference["store"], store_dir)
+    for epoch in range(COMMITTED, EPOCHS + 1):
+        (store_dir / f"epoch_{epoch:04d}.rsnap").unlink()
+    world = _world(SEEDS[0])
+    with no_fsync():
+        timeline = run_churn_timeline(world, _model(world), epochs=EPOCHS,
+                                      passes=PASSES, popular_count=15,
+                                      cold_check=cold_check, store=store_dir,
+                                      resume=True)
+    return timeline, store_dir
+
+
+def test_resume_surveys_only_the_uncommitted_epochs(resume_reference,
+                                                     tmp_path, monkeypatch):
+    """Committed epochs advance the engine without a re-survey; every
+    row's delta bookkeeping and every store file equal the reference's."""
+    from repro.core.engine import SurveyEngine
+    from repro.core.snapstore import EpochStore
+
+    store_dir = tmp_path / "epochs"
+    surveyed_after = []
+    run_delta = SurveyEngine.run_delta
+
+    def counting_run_delta(self, *args, **kwargs):
+        # The store holds epochs 0..e-1 while epoch e is re-surveyed.
+        surveyed_after.append(EpochStore(store_dir).epochs)
+        return run_delta(self, *args, **kwargs)
+
+    monkeypatch.setattr(SurveyEngine, "run_delta", counting_run_delta)
+    timeline, _ = _resume(resume_reference, tmp_path, cold_check=False)
+
+    assert surveyed_after == list(range(COMMITTED, EPOCHS + 1))
+    fields = ("dirty_names", "patched_names", "events", "dirty_fraction")
+    assert [[getattr(row, field) for field in fields]
+            for row in timeline.snapshots] == \
+        [[getattr(row, field) for field in fields]
+         for row in resume_reference["timeline"].snapshots]
+    for epoch in range(EPOCHS + 1):
+        name = f"epoch_{epoch:04d}.rsnap"
+        assert (store_dir / name).read_bytes() == \
+            (resume_reference["store"] / name).read_bytes(), name
+
+
+def test_resume_with_cold_check_audits_replayed_epochs(resume_reference,
+                                                       tmp_path):
+    """A resumed cold-audited run: every epoch, replayed or re-surveyed,
+    matches its cold survey, and the fingerprint is the reference's."""
+    timeline, _ = _resume(resume_reference, tmp_path, cold_check=True)
+    assert all(row.cold_identical for row in timeline.snapshots[1:])
+    assert timeline_fingerprint(timeline) == \
+        timeline_fingerprint(resume_reference["timeline"])
 
 
 # -- input sniffing --------------------------------------------------------------------

@@ -254,19 +254,23 @@ def test_socket_delta_survey_identical_to_serial(small_internet,
         engines["socket"].close()
 
 
-def test_socket_backend_rejects_prefolded_changeset(small_internet,
-                                                    worker_trio):
-    engine = SurveyEngine(small_internet, config=EngineConfig(
-        backend="socket", popular_count=20,
-        worker_addrs=tuple(worker_trio)))
-    try:
-        cold = engine.run(max_names=40)
-        journal = ChangeJournal(InternetGenerator(
-            small_internet.config).generate())
-        with pytest.raises(DistribError, match="pre-folded ChangeSet"):
-            engine.run_delta(cold, journal.changes())
-    finally:
-        engine.close()
+def test_socket_churn_cold_audit_matches_serial_reference(worker_trio):
+    """churn's cold audit runs serially beside socket epochs: the two
+    differ only in the backend keys, so every epoch audits identical."""
+    from repro.core.timeline import run_churn_timeline
+    from repro.topology.churn import ChurnModel, ChurnRates
+
+    world = InternetGenerator(GeneratorConfig(
+        seed=4242, sld_count=60, directory_name_count=90,
+        university_count=12, hosting_provider_count=6, isp_count=4,
+        alexa_count=15)).generate()
+    model = ChurnModel(world, ChurnRates(transfer=1.0, death=0.5,
+                                         upgrade=1.0, region=1.0), seed=9)
+    timeline = run_churn_timeline(world, model, epochs=2, backend="socket",
+                                  worker_addrs=worker_trio, popular_count=15,
+                                  cold_check=True)
+    assert [row.cold_identical for row in timeline.snapshots] == \
+        [None, True, True]
 
 
 def test_worker_rejects_survey_before_build(worker_trio):

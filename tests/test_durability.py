@@ -354,6 +354,20 @@ def test_resume_empty_store_is_an_error(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
+def test_churn_no_fsync_does_not_outlive_the_command(tmp_path, capsys):
+    """main() runs in-process too: --no-fsync must not leak past it."""
+    previous = set_fsync(True)
+    try:
+        (tmp_path / "store").mkdir()
+        code = main(_churn_args(MATRIX_SEEDS[0], tmp_path / "store",
+                                extra=["--resume"]))
+        capsys.readouterr()
+        assert code == 2
+        assert fsync_enabled()
+    finally:
+        set_fsync(previous)
+
+
 def test_resume_rejects_mismatched_run_arguments(reference, tmp_path,
                                                  capsys):
     store = _corrupt_copy(reference, tmp_path)
