@@ -21,11 +21,12 @@ experiment:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 from typing import Dict, Iterable, List, Optional
 
 from repro.dns.dnssec import ChainValidator, ZoneSigner
-from repro.dns.name import DomainName, NameLike, ROOT_NAME
+from repro.dns.name import DomainName, NameLike, ROOT_NAME, name_key
 from repro.dns.rdtypes import RRType
 from repro.core.hijack import HIJACKABLE_CLASSIFICATIONS
 from repro.core.survey import SurveyResults
@@ -39,6 +40,8 @@ class DNSSECDeployment:
     signed_zones: List[DomainName]
     ds_published: int
     fraction_requested: float
+    #: Zones this deployment signed that carried no DNSKEY before it.
+    newly_signed: List[DomainName]
 
     @property
     def signed_count(self) -> int:
@@ -46,6 +49,7 @@ class DNSSECDeployment:
         return len(self.signed_zones)
 
 
+@functools.lru_cache(maxsize=1 << 15)
 def _deployment_score(seed: str, apex: DomainName) -> float:
     """A stable per-zone adoption score in [0, 1).
 
@@ -55,14 +59,14 @@ def _deployment_score(seed: str, apex: DomainName) -> float:
     growth*: raising the fraction with the same seed always signs a
     superset, even if zones were created or re-delegated in between — the
     property the incremental re-survey's journalled deployment progress
-    relies on.
+    relies on.  The score is pure in ``(seed, apex)``, so it is memoised
+    (bounded: a churn run re-scores the same zones every epoch).
     """
     return random.Random(f"{seed}|deploy|{apex}").random()
 
 
 def deploy_dnssec(internet, fraction: float = 1.0,
                   always_sign_tlds: bool = True,
-                  rng: Optional[random.Random] = None,
                   seed: str = "repro-dnssec") -> DNSSECDeployment:
     """Sign ``fraction`` of the Internet's zones and publish DS records.
 
@@ -72,9 +76,7 @@ def deploy_dnssec(internet, fraction: float = 1.0,
     falls below ``fraction``, so roughly that share of zones signs and a
     larger fraction always signs a superset.  DS records are only
     published where the parent zone is itself signed, so partial deployment
-    naturally produces "islands of security".  ``rng`` is accepted for
-    backwards compatibility and ignored — sampling is a pure function of
-    ``seed`` and the zone apexes.
+    naturally produces "islands of security".
 
     Signing is additive and cannot be undone, so deploying is only allowed
     when every zone an *earlier* deployment signed is signed by this one
@@ -82,35 +84,34 @@ def deploy_dnssec(internet, fraction: float = 1.0,
     the fraction models deployment progress); a smaller or
     differently-seeded deployment over an already-signed Internet would
     validate against the old, larger deployment while reporting the new
-    fraction, and is rejected instead.
+    fraction, and is rejected instead.  Zones whose content is unchanged
+    since their last signing pass cost one comparison (see
+    :meth:`~repro.dns.dnssec.ZoneSigner.sign_zone`).
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be within [0, 1]")
     signer = ZoneSigner(seed=seed)
 
-    zones = dict(internet.zones)
-    tld_apexes = [apex for apex in zones if apex.depth <= 1]
-    lower_apexes = [apex for apex in zones if apex.depth > 1]
-
-    to_sign: List[DomainName] = []
+    zones = internet.zones
+    by_order = sorted(zones, key=name_key)
     if always_sign_tlds:
-        to_sign.extend(sorted(tld_apexes))
-        to_sign.extend(apex for apex in sorted(lower_apexes)
-                       if _deployment_score(seed, apex) < fraction)
+        to_sign = [apex for apex in by_order if apex.depth <= 1]
+        to_sign.extend(apex for apex in by_order if apex.depth > 1 and
+                       _deployment_score(seed, apex) < fraction)
     else:
-        to_sign.extend(apex for apex in sorted(zones)
-                       if _deployment_score(seed, apex) < fraction)
+        to_sign = [apex for apex in by_order
+                   if _deployment_score(seed, apex) < fraction]
 
     planned = set(to_sign)
-    stale = [apex for apex, zone in zones.items()
-             if apex not in planned and
-             zone.get_rrset(apex, RRType.DNSKEY) is not None]
+    already = {apex for apex, zone in zones.items()
+               if zone.get_rrset(apex, RRType.DNSKEY) is not None}
+    stale = already - planned
     if stale:
         raise ValueError(
-            f"{len(stale)} zone(s) (e.g. {sorted(stale)[0]}) already carry "
-            f"DNSKEYs from a larger or different deployment; signing is "
-            f"additive, so this fraction={fraction} deployment would "
-            f"misreport the world it validates — use a fresh Internet")
+            f"{len(stale)} zone(s) (e.g. {min(stale, key=name_key)}) "
+            f"already carry DNSKEYs from a larger or different deployment; "
+            f"signing is additive, so this fraction={fraction} deployment "
+            f"would misreport the world it validates — use a fresh Internet")
 
     for apex in to_sign:
         signer.sign_zone(zones[apex])
@@ -128,9 +129,11 @@ def deploy_dnssec(internet, fraction: float = 1.0,
         if signer.publish_ds(parent_zone, apex) is not None:
             ds_published += 1
 
-    return DNSSECDeployment(signer=signer, signed_zones=sorted(to_sign),
-                            ds_published=ds_published,
-                            fraction_requested=fraction)
+    return DNSSECDeployment(
+        signer=signer, signed_zones=sorted(to_sign, key=name_key),
+        ds_published=ds_published, fraction_requested=fraction,
+        newly_signed=[apex for apex in by_order
+                      if apex in planned and apex not in already])
 
 
 def _enclosing_signed_parent(apex: DomainName,

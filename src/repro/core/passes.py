@@ -277,9 +277,10 @@ class DNSSECImpactPass(AnalysisPass):
         # Imported here: dnssec_impact aggregates over survey results, and
         # the survey facade reaches back into the engine package.
         from repro.core.dnssec_impact import deploy_dnssec
-        # Unconditional: deployment is idempotent on one internet (signing
-        # re-checks existing records), and a pass instance reused with a
-        # *different* internet must sign that world too.
+        # Unconditional: deployment is idempotent on one internet (a zone
+        # unchanged since its last signing pass is skipped by its clean
+        # mark), and a pass instance reused with a *different* internet
+        # must sign that world too.
         self.deployment = deploy_dnssec(
             internet, fraction=self.fraction,
             always_sign_tlds=self.sign_tlds, seed=self.seed)

@@ -99,30 +99,38 @@ class ZoneSigner:
         """Sign every RRSet in ``zone``; returns the zone's key identifier.
 
         Signing is idempotent: re-signing a zone refreshes signatures for
-        any RRSets added since the previous pass.
+        any RRSets added since the previous pass.  A full pass leaves
+        nothing for a second pass to add, so the zone records its
+        ``(key, revision)`` and a pass over an unchanged zone returns at
+        once.
         """
         key = zone_key(zone.apex, self.seed)
-        if zone.get_rrset(zone.apex, RRType.DNSKEY) is None:
-            zone.add(zone.apex, RRType.DNSKEY, key)
-        for rrset in list(zone.iter_rrsets()):
-            if rrset.rtype in (RRType.RRSIG, RRType.DNSKEY):
-                continue
-            signature = rrset_signature(zone.apex, rrset, key)
-            existing = zone.get_rrset(rrset.name, RRType.RRSIG)
-            already = existing is not None and any(
-                str(record.rdata) == f"{rrset.rtype.name} {signature}"
-                for record in existing)
-            if not already:
-                zone.add(rrset.name, RRType.RRSIG,
-                         f"{rrset.rtype.name} {signature}")
+        if zone.signed_mark != (key, zone.revision):
+            if zone.get_rrset(zone.apex, RRType.DNSKEY) is None:
+                zone.add(zone.apex, RRType.DNSKEY, key)
+            for rrset in list(zone.iter_rrsets()):
+                if rrset.rtype not in (RRType.RRSIG, RRType.DNSKEY):
+                    self._sign_rrset(zone, rrset, key)
+            zone.signed_mark = (key, zone.revision)
         self._signed.add(zone.apex)
         return key
+
+    @staticmethod
+    def _sign_rrset(zone: Zone, rrset: RRSet, key: str) -> None:
+        """Add the RRSIG covering ``rrset`` unless the zone already has it."""
+        value = f"{rrset.rtype.name} {rrset_signature(zone.apex, rrset, key)}"
+        existing = zone.get_rrset(rrset.name, RRType.RRSIG)
+        if existing is None or all(str(record.rdata) != value
+                                   for record in existing):
+            zone.add(rrset.name, RRType.RRSIG, value)
 
     def publish_ds(self, parent_zone: Zone, child_apex: NameLike) -> Optional[str]:
         """Publish the child's DS record in the (signed) parent zone.
 
         Returns the DS value, or ``None`` if the parent has not been signed
-        (an unsigned parent cannot anchor a secure delegation).
+        (an unsigned parent cannot anchor a secure delegation).  When the
+        parent was fully signed and unchanged since, only the new DS RRset
+        needs a signature; otherwise the parent gets a full pass.
         """
         child_apex = DomainName(child_apex)
         if parent_zone.apex not in self._signed:
@@ -131,9 +139,16 @@ class ZoneSigner:
                            zone_key(child_apex, self.seed))
         existing = parent_zone.get_rrset(child_apex, RRType.DS)
         if existing is None or all(str(r.rdata) != ds_value for r in existing):
+            key = zone_key(parent_zone.apex, self.seed)
+            clean = parent_zone.signed_mark == (key, parent_zone.revision)
             parent_zone.add(child_apex, RRType.DS, ds_value)
-            # The new DS (and any other parent data) needs a fresh signature.
-            self.sign_zone(parent_zone)
+            if clean:
+                self._sign_rrset(parent_zone,
+                                 parent_zone.get_rrset(child_apex, RRType.DS),
+                                 key)
+                parent_zone.signed_mark = (key, parent_zone.revision)
+            else:
+                self.sign_zone(parent_zone)
         return ds_value
 
 

@@ -107,12 +107,21 @@ class Zone:
     soa:
         Optional start-of-authority data; a default SOA is synthesised if
         omitted so that every zone is well-formed.
+
+    ``revision`` counts RRSet mutations: every method that changes an
+    RRSet bumps it, so a signer can tell whether anything changed since
+    its last full pass (``signed_mark``, see
+    :meth:`repro.dns.dnssec.ZoneSigner.sign_zone`).  RRSets must change
+    only through these methods, never by mutating a returned RRSet.
     """
 
     def __init__(self, apex: NameLike, soa: Optional[SOAData] = None):
         self.apex = DomainName(apex)
         self._rrsets: Dict[Tuple[DomainName, RRType, RRClass], RRSet] = {}
         self._delegations: Dict[DomainName, Delegation] = {}
+        self.revision = 0
+        #: ``(key, revision)`` of the last full signing pass, if any.
+        self.signed_mark: Optional[Tuple[str, int]] = None
         if soa is None:
             soa = SOAData(mname=self.apex.child("ns1") if not self.apex.is_root
                           else DomainName("a.root-servers.net"),
@@ -137,6 +146,7 @@ class Zone:
             rrset = RRSet(record.name, record.rtype, record.rclass)
             self._rrsets[key] = rrset
         rrset.add(record)
+        self.revision += 1
 
     def add(self, name: NameLike, rtype: Union[RRType, str], rdata: object,
             ttl: int = DEFAULT_TTL) -> ResourceRecord:
@@ -189,6 +199,7 @@ class Zone:
         primitive zone-handover mutations are built on.
         """
         self._rrsets.pop((self.apex, RRType.NS, RRClass.IN), None)
+        self.revision += 1
         self.set_apex_nameservers(nameservers, ttl=ttl)
 
     def apex_nameservers(self) -> List[DomainName]:
@@ -261,6 +272,7 @@ class Zone:
                       if key[0].is_subdomain_of(apex) and
                       key[1] is not RRType.SOA]
         rrsets = [self._rrsets.pop(key) for key in moved_keys]
+        self.revision += 1
         moved_children = [child for child in self._delegations
                           if child.is_subdomain_of(apex, proper=True)]
         delegations = [self._delegations.pop(child)

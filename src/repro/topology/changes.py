@@ -221,6 +221,58 @@ def zone_nameserver_union(internet, apex: NameLike) -> List[DomainName]:
     return merged
 
 
+class NameserverUnionIndex:
+    """Every zone's NS union, built once per world and kept current.
+
+    ``unions`` maps each apex (in the world's zone order) to its
+    :func:`zone_nameserver_union`; ``served`` inverts it (host -> apexes
+    whose union lists the host).  A union depends only on the zone's apex
+    NS RRSet, its parent delegation and which zones exist, and all three
+    change only through :meth:`ChangeJournal.set_zone_nameservers`, which
+    refreshes the entries it touches.  The index lives on the world
+    (:func:`nameserver_union_index`), so it outlives the journals a churn
+    run makes one per epoch.  Unions are tuples, replaced on change and
+    never mutated.
+    """
+
+    def __init__(self, internet):
+        # No reference back to the world: the world holds the index, and
+        # a cycle would keep a dropped world alive until a full collection.
+        self.unions: Dict[DomainName, Tuple[DomainName, ...]] = {}
+        self.served: Dict[DomainName, Set[DomainName]] = {}
+        self._order: Dict[DomainName, int] = {}
+        for apex in internet.zones:
+            self.refresh(internet, apex)
+
+    def refresh(self, internet, apex: DomainName) -> None:
+        """Recompute ``apex``'s union from the live world."""
+        union = tuple(zone_nameserver_union(internet, apex))
+        old = self.unions.get(apex)
+        if old is None:
+            self._order[apex] = len(self._order)
+        elif old == union:
+            return
+        for hostname in old or ():
+            self.served[hostname].discard(apex)
+        for hostname in union:
+            self.served.setdefault(hostname, set()).add(apex)
+        self.unions[apex] = union
+
+    def served_by(self, hostname: DomainName) -> List[DomainName]:
+        """Zones whose union lists ``hostname``, in the world's zone order."""
+        return sorted(self.served.get(hostname, ()),
+                      key=self._order.__getitem__)
+
+
+def nameserver_union_index(internet) -> NameserverUnionIndex:
+    """The world's :class:`NameserverUnionIndex`, built on first use."""
+    index = getattr(internet, "nameserver_unions", None)
+    if index is None:
+        index = NameserverUnionIndex(internet)
+        internet.nameserver_unions = index
+    return index
+
+
 class ChangeJournal:
     """Applies and records mutations to a :class:`SyntheticInternet`.
 
@@ -282,6 +334,15 @@ class ChangeJournal:
         zone.replace_apex_nameservers(ns_list)
         self._rewire_delegation(apex, ns_list)
         self._reattach_servers(zone, before, ns_list)
+        index = getattr(internet, "nameserver_unions", None)
+        if index is not None:
+            index.refresh(internet, apex)
+            if created:
+                # A new cut can change which zone encloses the names below
+                # it, so their unions are recomputed too.
+                for below in [other for other in index.unions
+                              if other.is_subdomain_of(apex, proper=True)]:
+                    index.refresh(internet, below)
 
         event = ChangeEvent(
             kind="zone-created" if created else "zone-ns", zone=apex,
@@ -372,12 +433,11 @@ class ChangeJournal:
         internet = self.internet
         if internet.servers.get(hostname) is None:
             raise ValueError(f"unknown server {hostname}")
-        serving = [apex for apex in internet.zones
-                   if hostname in self._zone_ns_union(apex)]
+        index = nameserver_union_index(internet)
+        serving = index.served_by(hostname)
         # Validate before mutating anything: a rejected decommission must
         # not leave the world half re-delegated.
-        orphaned = [apex for apex in serving
-                    if len(self._zone_ns_union(apex)) == 1]
+        orphaned = [apex for apex in serving if len(index.unions[apex]) == 1]
         if orphaned:
             raise ValueError(
                 f"cannot remove {hostname}: it is the only nameserver "
@@ -445,19 +505,16 @@ class ChangeJournal:
         # Imported lazily: the topology layer must not depend on the core
         # survey machinery at module load time.
         from repro.core.dnssec_impact import deploy_dnssec
-        internet = self.internet
-        before = self._signed_zones()
-        deployment = deploy_dnssec(internet, fraction=fraction,
+        deployment = deploy_dnssec(self.internet, fraction=fraction,
                                    always_sign_tlds=always_sign_tlds,
                                    seed=seed)
-        newly_signed = sorted(self._signed_zones() - before)
         event = ChangeEvent(
             kind="dnssec",
             details={"deployment": deployment,
                      "fraction": fraction,
                      "sign_tlds": always_sign_tlds,
                      "seed": seed,
-                     "newly_signed": newly_signed})
+                     "newly_signed": deployment.newly_signed})
         self.events.append(event)
         return event
 
@@ -571,11 +628,6 @@ class ChangeJournal:
             address = f"198.18.{index // 250}.{index % 250 + 1}"
             if address not in used:
                 return address
-
-    def _signed_zones(self) -> Set[DomainName]:
-        """Apexes currently carrying a DNSKEY RRSet."""
-        return {apex for apex, zone in self.internet.zones.items()
-                if zone.get_rrset(apex, RRType.DNSKEY) is not None}
 
     def _enclosing_zone(self, name: DomainName) -> Optional[Zone]:
         """The deepest existing zone strictly above ``name``."""

@@ -48,12 +48,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (Dict, List, Mapping, NamedTuple, Optional, Sequence, Set,
+                    Tuple)
 
-from repro.dns.name import DomainName
+from repro.dns.name import DomainName, name_key
 from repro.topology.changes import (
     ChangeEvent,
     ChangeJournal,
+    nameserver_union_index,
     zone_nameserver_union,
 )
 from repro.topology.operators import OperatorKind, Organization
@@ -159,6 +161,14 @@ class ChurnRates:
         return rates
 
 
+class CandidatePools(NamedTuple):
+    """The sorted pools one epoch draws its events from."""
+
+    transferable: List[DomainName]
+    mortal: List[DomainName]
+    mutable: List[DomainName]
+
+
 class ChurnModel:
     """Draws one epoch's worth of world mutations at a time.
 
@@ -198,6 +208,7 @@ class ChurnModel:
         self._replacement_counter = 0
         self._infrastructure = tuple(DomainName(s)
                                      for s in INFRASTRUCTURE_SUFFIXES)
+        self._infrastructure_memo: Dict[DomainName, bool] = {}
 
     # -- epoch driver ------------------------------------------------------------------
 
@@ -211,18 +222,13 @@ class ChurnModel:
         """
         self.epoch_index += 1
         before = len(journal.events)
-        # NS unions, served-zones index, and candidate pools are computed
-        # once per epoch: events applied later in the same epoch can go
-        # slightly stale against them, which only shifts *selection*
-        # (deterministically); mutation correctness always checks the
-        # live world (see _kill_and_replace_server).
-        unions = {apex: zone_nameserver_union(self.internet, apex)
-                  for apex in self.internet.zones}
-        served = self._served_index(unions)
-        transferable = self._transferable_zones(served, unions)
+        # Candidate pools are computed once per epoch from the world's
+        # live NS-union index, before any event: events applied later in
+        # the same epoch can leave them slightly stale, which only shifts
+        # *selection* (deterministically); mutations always read the live
+        # index (see _kill_and_replace_server).
+        transferable, mortal, mutable = self.candidate_pools()
         operators = self._transfer_operators()
-        mortal = self._mortal_servers(served)
-        mutable = self._mutable_servers(served)
         for _ in range(self._draw_count(self.rates.transfer)):
             self._transfer_zone(journal, transferable, operators)
         for _ in range(self._draw_count(self.rates.death)):
@@ -246,23 +252,40 @@ class ChurnModel:
 
     # -- candidate pools ---------------------------------------------------------------
 
-    def _is_infrastructure(self, name: DomainName) -> bool:
-        return any(name.is_subdomain_of(suffix)
-                   for suffix in self._infrastructure)
+    def candidate_pools(self) -> CandidatePools:
+        """The sorted event pools of the world as it stands now."""
+        index = nameserver_union_index(self.internet)
+        backbone = self._backbone_hosts(index.unions)
+        return CandidatePools(
+            transferable=self._transferable_zones(backbone, index.unions),
+            mortal=self._mortal_servers(backbone, index.served),
+            mutable=self._mutable_servers(backbone, index.served))
 
-    def _is_backbone(self, hostname: DomainName,
-                     served: Dict[DomainName, List[DomainName]]) -> bool:
-        """True when ``hostname`` carries root/TLD/registry infrastructure.
+    def _is_infrastructure(self, name: DomainName) -> bool:
+        verdict = self._infrastructure_memo.get(name)
+        if verdict is None:
+            verdict = any(name.is_subdomain_of(suffix)
+                          for suffix in self._infrastructure)
+            self._infrastructure_memo[name] = verdict
+        return verdict
+
+    def _backbone_hosts(self, unions: Mapping[DomainName,
+                                              Sequence[DomainName]]
+                        ) -> Set[DomainName]:
+        """Hosts that carry root/TLD/registry infrastructure.
 
         Catches boxes the suffix list alone cannot: e.g. the nstld.com
         servers backing the gtld-servers.net zone sit under an innocuous
         apex but every com/net chain runs through them.
         """
-        return any(apex.depth <= 1 or self._is_infrastructure(apex)
-                   for apex in served.get(hostname, ()))
+        backbone: Set[DomainName] = set()
+        for apex, hostnames in unions.items():
+            if apex.depth <= 1 or self._is_infrastructure(apex):
+                backbone.update(hostnames)
+        return backbone
 
-    def _transferable_zones(self, served: Dict[DomainName, List[DomainName]],
-                            unions: Dict[DomainName, List[DomainName]]
+    def _transferable_zones(self, backbone: Set[DomainName],
+                            unions: Mapping[DomainName, Sequence[DomainName]]
                             ) -> List[DomainName]:
         """Second-level-or-deeper zones eligible for a registrar transfer.
 
@@ -277,8 +300,7 @@ class ChurnModel:
         for apex in self.internet.zones:
             if apex.depth < 2 or self._is_infrastructure(apex):
                 continue
-            if any(self._is_backbone(hostname, served)
-                   for hostname in unions.get(apex, ())):
+            if any(hostname in backbone for hostname in unions.get(apex, ())):
                 continue
             if organizations is not None:
                 owner = organizations.by_domain(apex)
@@ -286,23 +308,10 @@ class ChurnModel:
                         owner.kind in PINNED_HOME_ZONE_KINDS:
                     continue
             eligible.append(apex)
-        return sorted(eligible)
+        return sorted(eligible, key=name_key)
 
-    def _served_index(self, unions: Dict[DomainName, List[DomainName]]
-                      ) -> Dict[DomainName, List[DomainName]]:
-        """host -> zones whose effective NS union (parent + apex) lists it.
-
-        Inverted from the per-epoch union map — the same union the
-        journal's ``remove_server`` validates, so eligibility reasoning
-        and journal validation can never disagree about who serves what.
-        """
-        index: Dict[DomainName, List[DomainName]] = {}
-        for apex, hostnames in unions.items():
-            for hostname in hostnames:
-                index.setdefault(hostname, []).append(apex)
-        return index
-
-    def _mortal_servers(self, served: Dict[DomainName, List[DomainName]]
+    def _mortal_servers(self, backbone: Set[DomainName],
+                        served: Mapping[DomainName, Set[DomainName]]
                         ) -> List[DomainName]:
         """Servers that can die: long-tail boxes serving a few deep zones.
 
@@ -314,15 +323,15 @@ class ChurnModel:
         """
         mortal: List[DomainName] = []
         for hostname in self.internet.servers:
-            if self._is_infrastructure(hostname) or \
-                    self._is_backbone(hostname, served):
+            if hostname in backbone or self._is_infrastructure(hostname):
                 continue
             zones = served.get(hostname, ())
             if zones and len(zones) <= self.death_fanout_limit:
                 mortal.append(hostname)
-        return sorted(mortal)
+        return sorted(mortal, key=name_key)
 
-    def _mutable_servers(self, served: Dict[DomainName, List[DomainName]]
+    def _mutable_servers(self, backbone: Set[DomainName],
+                         served: Mapping[DomainName, Set[DomainName]]
                          ) -> List[DomainName]:
         """Servers whose software / region may churn.
 
@@ -339,16 +348,10 @@ class ChurnModel:
         for hostname in self.internet.servers:
             if not served.get(hostname):
                 continue
-            if self._is_infrastructure(hostname) or \
-                    self._is_backbone(hostname, served):
+            if hostname in backbone or self._is_infrastructure(hostname):
                 continue
             mutable.append(hostname)
-        return sorted(mutable)
-
-    def _zones_served_by(self, hostname: DomainName) -> List[DomainName]:
-        """Live served-zones of one host (never stale, used by mutations)."""
-        return [apex for apex in self.internet.zones
-                if hostname in zone_nameserver_union(self.internet, apex)]
+        return sorted(mutable, key=name_key)
 
     def _transfer_operators(self) -> List[Organization]:
         """Operators that take transfers, stable order."""
@@ -392,13 +395,13 @@ class ChurnModel:
         if not mortal:
             return None
         victim = self.rng.choice(mortal)
-        # Live scan, not the per-epoch served index: an earlier event this
-        # epoch may have re-pointed a zone at the victim (a zone the index
-        # missed whose only nameserver is the victim would make
-        # remove_server rightly refuse to orphan it), or already killed
-        # the victim (skip the slot instead of minting a pointless
-        # replacement).
-        serving = self._zones_served_by(victim)
+        # The live union index, not the epoch-start pools: an earlier
+        # event this epoch may have re-pointed a zone at the victim (left
+        # without the replacement, a zone whose only nameserver is the
+        # victim would make remove_server rightly refuse to orphan it),
+        # or already killed the victim (skip the slot instead of minting
+        # a pointless replacement).
+        serving = nameserver_union_index(self.internet).served_by(victim)
         if not serving:
             return None
         server = self.internet.servers[victim]
@@ -414,7 +417,7 @@ class ChurnModel:
                            region=server.region,
                            organization=operator.name
                            if operator is not None else None)
-        for apex in sorted(serving):
+        for apex in sorted(serving, key=name_key):
             journal.add_zone_nameserver(apex, replacement)
         return journal.remove_server(victim)
 

@@ -139,6 +139,10 @@ class SyntheticInternet:
     organizations: OrganizationRegistry
     root_hints: Dict[DomainName, List[str]]
     directory: WebDirectory
+    #: The NS-union index churn and the journal share, built on first use
+    #: (see :func:`repro.topology.changes.nameserver_union_index`).
+    nameserver_unions: Optional[object] = dataclasses.field(
+        default=None, repr=False, compare=False)
 
     def make_resolver(self, use_glue: bool = True, selection: str = "first",
                       max_queries: int = 4000,

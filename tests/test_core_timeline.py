@@ -8,6 +8,7 @@ is (DNSSEC never regresses, epochs contiguous).
 """
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -378,3 +379,86 @@ def test_load_timeline_rejects_corrupt_zlib_and_json(tmp_path):
     bad_json.write_text("{definitely not json")
     with pytest.raises(SnapshotFormatError, match="malformed"):
         load_timeline(bad_json)
+
+
+# -- golden churn runs -----------------------------------------------------------------
+
+#: Per churn seed: SHA-256 of the event specs, the event count, the
+#: timeline fingerprint, the world digest after the last epoch, and the
+#: SHA-256 of every epoch file.  Recorded before the churn epoch loop
+#: stopped re-signing and re-scanning the whole world each epoch; any
+#: change here means the world, its events or its outputs moved.
+GOLDEN_RUNS = {
+    3: ("44e491d4f5ad4bb511debc235dffbd63fc3563fd919a6f0afacee5aed6e53205", 35,
+        "1255cc75f7d33f11f82a37d714c4ef2957ce0a990462c196cea31f6346afa42e",
+        "d6b56f4ef8d90c3fd8f50620eb002fe9068c952e57f177f803035fed95bf6277",
+        ("a7533f3261d8b6763bd3599c18c283396011efbbc0bd4e35d90dcb513c2b35d6",
+         "bf0418b322f7420f0183ba88aecb240da25697c969b2410f1dc4ca154c3f8f6c",
+         "53e1944ae6e2fa78c854dc4e3c910bd4d98dde0ffcc31b2406f642af15506046",
+         "21bfe70e1896c054a177503cdf1e6cff0ed9e8af52c979032962f1e4359bebcd",
+         "b84dd184d21cb70e18e0dfc2c7b8be5bad143b3d29c065a98d27d85a65b6877b")),
+    8: ("4b81c933330c2191c96e0d2731db43c5aa50f6debb26c9057361e62aabe687a9", 35,
+        "a7923f513eaa77068c5410e3fc9a56411527004355663864b06fc6f156a6caeb",
+        "d8c540e1a2e6144a95817a693c574100508d81ab05a72893ac420d26f1c9661b",
+        ("a7533f3261d8b6763bd3599c18c283396011efbbc0bd4e35d90dcb513c2b35d6",
+         "aa0d6d79788212654765ccb7c577a1222991df73263d1c1f161b83e2d2893c38",
+         "06ab5e93138fb5f4b98ca8e3236085fcafd4c43143fe0f0cd4f68303048fc1a8",
+         "d348ce1697fb04470de624a2d1b4b5500b28beaa6f3c571943ff4fbb18525bce",
+         "6c9d59bdacea3a6dfc522eb561a76970b41272f9c282d9106a49e6f292d54fab")),
+}
+
+
+def _world_digest(world):
+    """Every zone's RRSets (in order) and delegations, and every server."""
+    digest = hashlib.sha256()
+    for apex, zone in world.zones.items():
+        digest.update(f"Z {apex}\n".encode())
+        for rrset in zone.iter_rrsets():
+            values = [str(record.rdata) for record in rrset]
+            digest.update(
+                f" R {rrset.name} {rrset.rtype.name} {values}\n".encode())
+        for delegation in zone.iter_delegations():
+            hosts = [str(host) for host in delegation.nameservers]
+            glue = sorted((str(host), addresses)
+                          for host, addresses in delegation.glue.items())
+            digest.update(f" D {delegation.child} {hosts} {glue}\n".encode())
+    for host, server in world.servers.items():
+        zones = sorted(str(zone.apex) for zone in server.zones())
+        digest.update(f"S {host} {server.software} {server.region} "
+                      f"{server.addresses} {zones}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("churn_seed", sorted(GOLDEN_RUNS))
+def test_golden_churn_run(churn_seed, tmp_path):
+    events_sha, event_count, fingerprint, world_sha, file_shas = \
+        GOLDEN_RUNS[churn_seed]
+    world = InternetGenerator(GeneratorConfig(
+        seed=4242, sld_count=60, directory_name_count=90,
+        university_count=12, hosting_provider_count=6, isp_count=4,
+        alexa_count=15)).generate()
+    passes = ("availability:samples=4", "dnssec:fraction=0.3")
+    fraction, dnssec_seed, sign_tlds = dnssec_spec_options(passes)
+    model = ChurnModel(
+        world, ChurnRates.parse("transfer=1,death=1,upgrade=1,"
+                                "downgrade=0.5,region=1,dnssec=0.15"),
+        seed=churn_seed, initial_dnssec=fraction, dnssec_seed=dnssec_seed,
+        dnssec_sign_tlds=sign_tlds)
+    specs = []
+    advance = model.advance
+
+    def recording_advance(journal):
+        events = advance(journal)
+        specs.extend(event.to_spec() for event in events)
+        return events
+
+    model.advance = recording_advance
+    timeline = run_churn_timeline(world, model, epochs=4, passes=passes,
+                                  popular_count=15, store=tmp_path / "store")
+    assert len(specs) == event_count
+    assert hashlib.sha256("\n".join(specs).encode()).hexdigest() == events_sha
+    assert timeline_fingerprint(timeline) == fingerprint
+    assert _world_digest(world) == world_sha
+    files = sorted((tmp_path / "store").glob("epoch_*.rsnap"))
+    assert [hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in files] == list(file_shas)

@@ -1,6 +1,7 @@
 """Tests for the simplified DNSSEC model (:mod:`repro.dns.dnssec`)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dns.dnssec import (
     ChainValidator,
@@ -87,6 +88,71 @@ def test_publish_ds_requires_signed_parent():
     # Publishing twice does not duplicate the DS record.
     signer.publish_ds(parent, child_apex)
     assert len(parent.get_rrset(child_apex, RRType.DS)) == 1
+
+
+# -- clean marks: skipping a pass never changes a zone ------------------------------------------
+
+_OWNERS = ("example.com", "www.example.com", "sub.example.com",
+           "a.sub.example.com", "deep.a.sub.example.com")
+_CHILDREN = ("sub.example.com", "a.sub.example.com", "other.example.com")
+_SEEDS = ("s1", "s2")
+
+_operations = st.lists(st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(_OWNERS),
+              st.sampled_from(("10.0.0.1", "10.0.0.2", "10.0.0.3"))),
+    st.tuples(st.just("replace_ns"),
+              st.lists(st.sampled_from(("ns1.example.com", "ns2.example.com",
+                                        "ns.hoster.net")),
+                       max_size=3, unique=True)),
+    st.tuples(st.just("extract"), st.sampled_from(_CHILDREN)),
+    st.tuples(st.just("publish_ds"), st.sampled_from(_SEEDS),
+              st.sampled_from(_CHILDREN)),
+    st.tuples(st.just("sign"), st.sampled_from(_SEEDS)),
+), max_size=30)
+
+
+def _zone_content(zone):
+    return [(rrset.name, rrset.rtype, rrset.records)
+            for rrset in zone.iter_rrsets()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_operations)
+def test_clean_marks_match_a_full_signing_pass(operations):
+    """Every RRSet, RRSIG included and in order, equals a twin's that
+    gets a full signing pass on every sign and DS publication."""
+    zone, twin = Zone("example.com"), Zone("example.com")
+    signers = {seed: ZoneSigner(seed=seed) for seed in _SEEDS}
+    twin_signers = {seed: ZoneSigner(seed=seed) for seed in _SEEDS}
+    for operation in operations:
+        kind, *args = operation
+        for target, signer_map in ((zone, signers), (twin, twin_signers)):
+            if target is twin:
+                target.signed_mark = None  # forget every clean pass
+            if kind == "add":
+                target.add(args[0], RRType.A, args[1])
+            elif kind == "replace_ns":
+                target.replace_apex_nameservers(args[0])
+            elif kind == "extract":
+                target.extract_subtree(args[0])
+            elif kind == "publish_ds":
+                signer_map[args[0]].publish_ds(target, args[1])
+            else:
+                signer_map[args[0]].sign_zone(target)
+        assert _zone_content(zone) == _zone_content(twin)
+
+
+def test_unchanged_zone_is_not_walked_again():
+    zone = Zone("example.com")
+    zone.add("www.example.com", RRType.A, "10.0.0.80")
+    signer = ZoneSigner()
+    signer.sign_zone(zone)
+    revision = zone.revision
+    assert zone.signed_mark == (zone_key("example.com"), revision)
+    signer.sign_zone(zone)
+    assert zone.revision == revision
+    zone.add("new.example.com", RRType.A, "10.0.0.81")
+    assert zone.signed_mark != (zone_key("example.com"), zone.revision)
 
 
 # -- chain validation on the mini Internet ----------------------------------------------------

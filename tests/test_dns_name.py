@@ -248,6 +248,11 @@ def test_common_ancestor_is_symmetric_and_ancestral(a, b):
     assert b.is_subdomain_of(common)
 
 
+@given(st.lists(_names, max_size=12))
+def test_name_key_orders_like_less_than(names):
+    assert sorted(names, key=name_key) == sorted(names)
+
+
 @given(_names, _names)
 def test_subdomain_relation_antisymmetry(a, b):
     if a.is_subdomain_of(b) and b.is_subdomain_of(a):

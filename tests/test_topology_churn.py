@@ -7,13 +7,18 @@ epoch — that is what makes a churn timeline a reproducible experiment.
 
 import pytest
 
-from repro.dns.name import DomainName
-from repro.topology.changes import ChangeJournal, zone_nameserver_union
+from repro.dns.name import DomainName, name_key
+from repro.topology.changes import (
+    ChangeJournal,
+    nameserver_union_index,
+    zone_nameserver_union,
+)
 from repro.topology.churn import (
     ChurnModel,
     ChurnRates,
     DOWNGRADE_BANNERS,
     INFRASTRUCTURE_SUFFIXES,
+    PINNED_HOME_ZONE_KINDS,
     UPGRADE_BANNERS,
 )
 from repro.topology.generator import GeneratorConfig, InternetGenerator
@@ -182,6 +187,88 @@ def test_transfer_moves_zone_to_another_operator():
         new_operator = organizations.operator_of(event.hosts_after[0])
         assert new_operator is not None
         assert event.hosts_after != event.hosts_before
+
+
+# -- the world's NS-union index --------------------------------------------------------
+
+def _rebuilt_unions(world):
+    return {apex: tuple(zone_nameserver_union(world, apex))
+            for apex in world.zones}
+
+
+def _rebuilt_pools(model, world):
+    """The candidate pools recomputed from every zone, as from scratch."""
+    unions = _rebuilt_unions(world)
+    served = {}
+    for apex, hosts in unions.items():
+        for host in hosts:
+            served.setdefault(host, []).append(apex)
+    suffixes = [DomainName(s) for s in INFRASTRUCTURE_SUFFIXES]
+
+    def infra(name):
+        return any(name.is_subdomain_of(suffix) for suffix in suffixes)
+
+    def backbone(host):
+        return any(apex.depth <= 1 or infra(apex)
+                   for apex in served.get(host, ()))
+
+    def pinned(apex):
+        owner = world.organizations.by_domain(apex)
+        return owner is not None and bool(owner.nameservers) and \
+            owner.kind in PINNED_HOME_ZONE_KINDS
+
+    transferable = sorted(
+        apex for apex in world.zones
+        if apex.depth >= 2 and not infra(apex) and not pinned(apex)
+        and not any(backbone(host) for host in unions[apex]))
+    mortal = sorted(
+        host for host in world.servers
+        if not infra(host) and not backbone(host)
+        and 0 < len(served.get(host, ())) <= model.death_fanout_limit)
+    mutable = sorted(host for host in world.servers
+                     if served.get(host) and not infra(host)
+                     and not backbone(host))
+    return served, (transferable, mortal, mutable)
+
+
+def _cut_nested_zones(world, journal):
+    """Cut lab.dept.<sld>, then dept.<sld> between it and its parent."""
+    sld = min((apex for apex in world.zones if apex.depth == 2),
+              key=name_key)
+    hosts = zone_nameserver_union(world, sld)
+    deep = journal.set_zone_nameservers(f"lab.dept.{sld}", hosts[:1])
+    middle = journal.set_zone_nameservers(f"dept.{sld}", hosts)
+    assert deep.created_zone and middle.created_zone
+
+
+@pytest.mark.parametrize("seed", [2, 5, 13])
+def test_union_index_and_pools_match_a_rebuild_every_epoch(seed):
+    """The incrementally kept index equals a from-scratch rebuild after
+    churn epochs, nested zone cuts and an explicit server removal."""
+    world = _world()
+    model = ChurnModel(world, RATES, seed=seed)
+    index = nameserver_union_index(world)
+    deaths = 0
+    for epoch in range(4):
+        journal = ChangeJournal(world)
+        events = model.advance(journal)
+        if epoch == 1:
+            _cut_nested_zones(world, journal)
+            victim = next(host for host in model.candidate_pools().mutable
+                          if all(len(index.unions[apex]) > 1
+                                 for apex in index.served_by(host)))
+            journal.remove_server(victim)
+        # The same object, kept current: never rebuilt behind our back.
+        assert world.nameserver_unions is index
+        served, pools = _rebuilt_pools(model, world)
+        assert index.unions == _rebuilt_unions(world)
+        assert list(index.unions) == list(world.zones)
+        assert {host: index.served_by(host) for host in served} == served
+        assert not any(index.served.get(host) for host in world.servers
+                       if host not in served)
+        assert tuple(model.candidate_pools()) == pools
+        deaths += sum(event.kind == "server-remove" for event in events)
+    assert deaths
 
 
 # -- rates -----------------------------------------------------------------------------
